@@ -1,13 +1,12 @@
 """Spectral-solver backend benchmark (DESIGN.md §7–8).
 
-Compares every registered backend — dense / lanczos / lobpcg /
-shift-invert / chebyshev — on aggregated MVAG Laplacians at several
-sizes, measures the ``batch`` backend's wall-clock win over naive
-sequential solves of a set of related weight vectors (the SGLA+ sampling
-workload), profiles the ``chebyshev`` filtered backend against ARPACK
-cold solves across spectrum shapes, and measures the adaptive-precision
-**tolerance ladder** (SGLA end-to-end: trust-radius-driven eigensolve
-tolerances versus fixed-tolerance solves — same ``w*``, fewer matvecs).
+Compares the single-solve backends — dense / lanczos / lobpcg — on
+aggregated MVAG Laplacians at several sizes, measures the ``batch``
+backend's wall-clock win over naive sequential solves of a set of related
+weight vectors (the SGLA+ sampling workload), and measures the
+adaptive-precision **tolerance ladder** on ``lanczos`` (SGLA end-to-end:
+trust-radius-driven eigensolve tolerances versus fixed-tolerance solves —
+same ``w*``, fewer matvecs).
 
 The batch win combines thread-level overlap (scipy's solvers release the
 GIL) with shared warm-start seeding; on a single-core host the seeding
@@ -52,10 +51,6 @@ LADDER_DELTA_W = 1e-6
 #: dense is O(n^3); skip it beyond this size to bound benchmark runtime.
 DENSE_LIMIT = 2500
 
-#: shift-invert's sparse LU fill-in explodes on KNN-union patterns (~20s
-#: at n=5000, ~2min at n=10000 on this container); cap it like dense.
-SHIFT_INVERT_LIMIT = 2500
-
 
 def _laplacians(n, seed=0, n_clusters=4, strengths=(0.8, 0.4, 0.2),
                 attr_dims=(24,), knn_k=5):
@@ -98,10 +93,8 @@ def bench_backends(sizes, t=5, seed=0):
         weights = np.full(len(laplacians), 1.0 / len(laplacians))
         laplacian = aggregate_laplacians(laplacians, weights)
         reference = None
-        limits = {"dense": DENSE_LIMIT, "shift-invert": SHIFT_INVERT_LIMIT}
-        for name in ("dense", "lanczos", "lobpcg", "shift-invert",
-                     "chebyshev"):
-            if n > limits.get(name, n):
+        for name in ("dense", "lanczos", "lobpcg"):
+            if name == "dense" and n > DENSE_LIMIT:
                 rows.append((n, name, None, None, None))
                 continue
             backend = get_backend(name)
@@ -150,70 +143,7 @@ def bench_batch(n, count, t=5, seed=0):
     }
 
 
-#: spectrum-shape profile for the chebyshev/lanczos comparison:
-#: (label, n, n_clusters, strengths, attr_dims, t).  "edge" puts the
-#: wanted boundary lambda_{k+1} at the continuum edge (the SGLA
-#: objective's t = k + 1 workload); "gap" requests exactly the clustered
-#: bottom (t = k) with a large spectral gap above it.
-CHEBYSHEV_CONFIGS = [
-    ("edge", 2000, 4, (0.8, 0.4, 0.2), (24,), 5),
-    ("edge", 5000, 4, (0.8, 0.4, 0.2), (24,), 5),
-    ("gap", 2000, 10, (0.99, 0.98), (24,), 10),
-    ("gap", 5000, 10, (0.95, 0.9), (24,), 10),
-]
-
-CHEBYSHEV_CONFIGS_SMOKE = [
-    ("edge", 800, 4, (0.8, 0.4, 0.2), (24,), 5),
-    ("gap", 2000, 10, (0.99, 0.98), (24,), 10),
-]
-
-
-def bench_chebyshev(configs, seed=0):
-    """Cold chebyshev vs cold lanczos across spectrum shapes.
-
-    Honest head-to-head: on this problem family scipy's ARPACK wins cold
-    solves on matvec count (see DESIGN.md §8 for why and for where the
-    filtered backend's block/SpMM formulation pays instead); the table
-    pins the measured ratios so future backend work — accelerator SpMM
-    offload in particular — has a tracked baseline.
-    """
-    rows = []
-    for label, n, k, strengths, attr_dims, t in configs:
-        laplacians = _laplacians(
-            n, seed=seed, n_clusters=k, strengths=strengths,
-            attr_dims=attr_dims,
-        )
-        weights = np.full(len(laplacians), 1.0 / len(laplacians))
-        laplacian = aggregate_laplacians(laplacians, weights)
-        stats = {}
-        for name in ("lanczos", "chebyshev"):
-            backend = get_backend(name)
-            problem = EigenProblem(laplacian, t, seed=seed)
-            result = backend.solve(problem)
-            elapsed = _best_of(lambda: backend.solve(problem))
-            stats[name] = {
-                "seconds": elapsed,
-                "matvecs": result.matvecs,
-                "values": result.values,
-            }
-        rows.append({
-            "label": label,
-            "n": n,
-            "t": t,
-            "lanczos_ms": stats["lanczos"]["seconds"] * 1e3,
-            "chebyshev_ms": stats["chebyshev"]["seconds"] * 1e3,
-            "lanczos_matvecs": stats["lanczos"]["matvecs"],
-            "chebyshev_matvecs": stats["chebyshev"]["matvecs"],
-            "wall_ratio": stats["chebyshev"]["seconds"]
-            / max(stats["lanczos"]["seconds"], 1e-12),
-            "max_error": float(np.max(np.abs(
-                stats["chebyshev"]["values"] - stats["lanczos"]["values"]
-            ))),
-        })
-    return rows
-
-
-def bench_ladder(n, seed=0, backends=("lanczos", "chebyshev")):
+def bench_ladder(n, seed=0, backends=("lanczos",)):
     """SGLA end-to-end: fixed-tolerance vs trust-region tolerance ladder.
 
     The ladder's claim is precision-for-free: coarse eigensolves while
@@ -294,23 +224,6 @@ def run(smoke: bool = False, capsys=None, echo_json: bool = False) -> bool:
         title="\nbatch backend vs sequential cold solves (nearby weight vectors)",
     )
 
-    chebyshev_stats = bench_chebyshev(
-        CHEBYSHEV_CONFIGS_SMOKE if smoke else CHEBYSHEV_CONFIGS
-    )
-    chebyshev_table = format_table(
-        ["spectrum", "n", "t", "lanczos (ms)", "chebyshev (ms)",
-         "lan mv", "cheb mv", "max |dλ|"],
-        [
-            (
-                s["label"], s["n"], s["t"], s["lanczos_ms"],
-                s["chebyshev_ms"], s["lanczos_matvecs"],
-                s["chebyshev_matvecs"], f"{s['max_error']:.1e}",
-            )
-            for s in chebyshev_stats
-        ],
-        title="\nchebyshev vs lanczos cold solves by spectrum shape",
-    )
-
     ladder_stats = bench_ladder(800 if smoke else 1200)
     ladder_table = format_table(
         ["backend", "fixed mv", "ladder mv", "reduction", "fixed (s)",
@@ -330,8 +243,7 @@ def run(smoke: bool = False, capsys=None, echo_json: bool = False) -> bool:
     name = "solvers" + ("_smoke" if smoke else "")
     emit(
         name,
-        backend_table + "\n" + batch_table + "\n" + chebyshev_table
-        + "\n" + ladder_table,
+        backend_table + "\n" + batch_table + "\n" + ladder_table,
         capsys,
     )
     emit_json(
@@ -348,7 +260,6 @@ def run(smoke: bool = False, capsys=None, echo_json: bool = False) -> bool:
                 for n, backend, elapsed, _, error in backend_rows
             ],
             "batch": batch_stats,
-            "chebyshev_vs_lanczos": chebyshev_stats,
             "tolerance_ladder": ladder_stats,
         },
         echo=echo_json,
@@ -386,14 +297,6 @@ def run(smoke: bool = False, capsys=None, echo_json: bool = False) -> bool:
     for n, name_, elapsed, _, error in backend_rows:
         if error is not None and error > 2e-5:
             print(f"FAIL: backend {name_} off by {error:.2e} at n={n}")
-            ok = False
-    for stats in chebyshev_stats:
-        if stats["max_error"] > 1e-8:
-            print(
-                f"FAIL: chebyshev/lanczos eigenvalue mismatch "
-                f"{stats['max_error']:.2e} on {stats['label']} "
-                f"n={stats['n']}"
-            )
             ok = False
     # Ladder gates are deterministic (solver-iteration counts, not wall
     # clock), so they hold in smoke mode too.

@@ -206,12 +206,11 @@ def _add_solver_args(subparser) -> None:
 
 def _solver_config(args, **extra) -> SGLAConfig:
     """An SGLAConfig carrying the CLI's solver selection."""
-    backend = None if args.eigen_backend == "auto" else args.eigen_backend
     return SGLAConfig(
         seed=args.seed,
         knn_k=args.knn_k,
         knn_backend=args.knn_backend,
-        eigen_backend=backend,
+        eigen_backend=args.eigen_backend,
         solver_workers=args.solver_workers,
         tol_ladder=args.tol_ladder,
         shard_workers=args.shard_workers,

@@ -1,28 +1,23 @@
 """Fast evaluation path for the objective hot loop (DESIGN.md §6).
 
 Every evaluation of the spectral objective ``h(w)`` needs the aggregated
-Laplacian ``L(w) = sum_i w_i L_i``.  The legacy path rebuilds it with ``r``
-sequential sparse additions — each one allocating a fresh CSR and re-merging
-sorted index lists.  Because the view Laplacians are *fixed* for the whole
-optimization, all of that structural work can be hoisted out of the loop:
+Laplacian ``L(w) = sum_i w_i L_i``.  Building it from scratch
+(:func:`repro.core.laplacian.aggregate_laplacians`) merges the views'
+sparsity patterns on every call.  Because the view Laplacians are *fixed*
+for the whole optimization, all of that structural work can be hoisted out
+of the loop:
 
-* :class:`StackedLaplacians` computes the **union sparsity pattern** of
-  ``L_1..L_r`` once, scatters each view's data into a row of an
-  ``(r, nnz)`` dense stack, and then produces ``L(w)`` with a single BLAS
-  GEMV (``weights @ data_stack``) written into a preallocated CSR buffer —
-  no per-evaluation sparse allocations at all;
-* :meth:`StackedLaplacians.operator` exposes the **matrix-free** aggregate
-  ``x -> sum_i w_i (L_i @ x)`` as a :class:`scipy.sparse.linalg.
-  LinearOperator`, so the iterative :mod:`repro.solvers` backends can run
-  without materializing ``L(w)`` even once (useful when ``nnz`` is large
-  and few eigensolver iterations are needed, e.g. under warm starting).
+:class:`StackedLaplacians` computes the **union sparsity pattern** of
+``L_1..L_r`` once, scatters each view's data into a row of an ``(r, nnz)``
+dense stack, and then produces ``L(w)`` with a single BLAS GEMV
+(``weights @ data_stack``) written into a preallocated CSR buffer — no
+per-evaluation sparse allocations at all.
 
-Both products — the preallocated CSR from :meth:`~StackedLaplacians.
-combine` / :meth:`~StackedLaplacians.with_data` and the matrix-free
-operator — feed directly into the spectral-solver registry (DESIGN.md
-§7): the objective hands them to its :class:`repro.solvers.SolverContext`,
-and batched callers pass whole chunks to the ``batch`` backend's
-threaded ``solve_many``.
+The CSRs from :meth:`~StackedLaplacians.combine` /
+:meth:`~StackedLaplacians.with_data` feed directly into the
+spectral-solver registry (DESIGN.md §7): the objective hands them to its
+:class:`repro.solvers.SolverContext`, and batched callers pass whole
+chunks to the ``batch`` backend's threaded ``solve_many``.
 
 Zero weights are handled naturally by the GEMV (their rows contribute
 nothing); the union pattern therefore contains explicit zeros for entries
@@ -35,7 +30,6 @@ from typing import List, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.utils.errors import ShapeError, ValidationError
 from repro.utils.sparse import ensure_csr
@@ -86,7 +80,6 @@ class StackedLaplacians:
                 csr = csr.copy()
                 csr.sum_duplicates()
             views.append(csr)
-        self._views = views
         self.shape = shape
         n = shape[0]
 
@@ -219,31 +212,3 @@ class StackedLaplacians:
         for index in range(weight_rows.shape[0]):
             np.matmul(weight_rows[index], self.data_stack, out=block[index])
         return block
-
-    def operator(self, weights) -> spla.LinearOperator:
-        """Matrix-free ``x -> sum_i w_i (L_i @ x)`` (never builds ``L(w)``).
-
-        Zero-weighted views are skipped entirely, so the per-matvec cost is
-        ``O(sum of active views' nnz)``.
-        """
-        weights = self._check_weights(weights)
-        active = [
-            (float(w), view)
-            for w, view in zip(weights, self._views)
-            if w != 0.0
-        ]
-
-        def matvec(x):
-            x = np.asarray(x)
-            result = np.zeros(x.shape, dtype=np.float64)
-            for weight, view in active:
-                result += weight * (view @ x)
-            return result
-
-        return spla.LinearOperator(
-            self.shape,
-            matvec=matvec,
-            rmatvec=matvec,  # aggregated Laplacians are symmetric
-            matmat=matvec,
-            dtype=np.float64,
-        )

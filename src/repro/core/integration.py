@@ -210,8 +210,6 @@ def _single_objective(
         k=k,
         gamma=config.gamma,
         seed=config.seed,
-        fast_path=config.fast_path,
-        matrix_free=config.matrix_free,
         solver=solver,
         shard=shard,
     )

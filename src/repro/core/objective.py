@@ -16,14 +16,12 @@ caching repeated evaluations (derivative-free optimizers frequently revisit
 points) and counting the *distinct* expensive eigensolves performed — the
 quantity SGLA+ is designed to reduce.
 
-Evaluation runs on the **fast path** by default (DESIGN.md §6): the view
-Laplacians are stacked once on their union sparsity pattern
+Evaluation runs on the **fast path** (DESIGN.md §6): the view Laplacians
+are stacked once on their union sparsity pattern
 (:class:`repro.core.fastpath.StackedLaplacians`), each ``L(w)`` is produced
 by a single GEMV into a preallocated CSR, and iterative eigensolves are
 warm-started from the previous evaluation's Ritz vectors (optimizer steps
-move weights slightly, so consecutive spectra are close).  Set
-``fast_path=False`` to cross-check against the legacy
-``aggregate_laplacians`` + cold-start route.
+move weights slightly, so consecutive spectra are close).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.fastpath import StackedLaplacians
-from repro.core.laplacian import aggregate_laplacians
 from repro.shard.api import shard_objective_batch
 from repro.solvers import SolverContext
 from repro.utils.errors import ValidationError
@@ -113,16 +110,9 @@ class SpectralObjective:
         Whether to memoize evaluations by (rounded) weight vector.
     seed:
         Seed for iterative eigensolver start vectors (determinism).
-    fast_path:
-        Evaluate through the stacked GEMV aggregation + warm-started
-        eigensolves (default).  ``False`` selects the legacy route of
-        ``r`` sparse additions and cold-started solves.
-    matrix_free:
-        With ``fast_path``, feed iterative eigensolvers the matrix-free
-        aggregate operator instead of the materialized ``L(w)``.
     warm_start:
-        With ``fast_path``, seed each iterative eigensolve with the
-        previous evaluation's Ritz vectors.
+        Seed each iterative eigensolve with the previous evaluation's
+        Ritz vectors.
     solver:
         Optional shared :class:`repro.solvers.SolverContext`.  When given
         it owns backend choice, warm-start blocks, and statistics (the
@@ -133,8 +123,8 @@ class SpectralObjective:
         :meth:`evaluate_batch` partitions its distinct eigensolves over
         the context's process pool using the ``batch`` backend's
         shared-seeding scheme (DESIGN.md §10) — bit-identical for every
-        worker count, including the in-process serial fallback.  Only
-        the fast path batches; single evaluations are never sharded.
+        worker count, including the in-process serial fallback.  Single
+        evaluations are never sharded.
     """
 
     def __init__(
@@ -145,8 +135,6 @@ class SpectralObjective:
         eigen_method: str = "auto",
         cache: bool = True,
         seed=0,
-        fast_path: bool = True,
-        matrix_free: bool = False,
         warm_start: bool = True,
         solver: Optional[SolverContext] = None,
         shard=None,
@@ -164,8 +152,6 @@ class SpectralObjective:
         self.k = int(k)
         self.gamma = float(gamma)
         self.seed = seed
-        self.fast_path = bool(fast_path)
-        self.matrix_free = bool(matrix_free)
         if solver is None:
             solver = SolverContext(
                 method=eigen_method, seed=seed, warm_start=warm_start
@@ -213,21 +199,13 @@ class SpectralObjective:
 
     def _solve(self, weights: np.ndarray) -> np.ndarray:
         """One eigensolve for ``L(w)``; the hot inner call."""
-        t = self.k + 1
-        if not self.fast_path:
-            laplacian = aggregate_laplacians(self.laplacians, weights)
-            return self.solver.eigenvalues(laplacian, t, warm=False)
         method = self._resolved_eigen_method()
         if method == "dense":
             return self.solver.eigenvalues(
-                self.stack.combine(weights), t, method="dense", warm=False
+                self.stack.combine(weights), self.k + 1, method="dense",
+                warm=False,
             )
-        return self._solve_prepared(
-            self.stack.operator(weights)
-            if self.matrix_free
-            else self.stack.combine(weights),
-            method,
-        )
+        return self._solve_prepared(self.stack.combine(weights), method)
 
     def _solve_prepared(self, laplacian, method: str) -> np.ndarray:
         """Iterative eigensolve of an already-aggregated ``L(w)``.
@@ -290,9 +268,7 @@ class SpectralObjective:
 
     def aggregate(self, weights) -> sp.csr_matrix:
         """The MVAG Laplacian ``L(w)`` for the given weights (Eq. 1)."""
-        if self.fast_path:
-            return self.stack.aggregate(check_weights(weights, r=self.r))
-        return aggregate_laplacians(self.laplacians, weights)
+        return self.stack.aggregate(check_weights(weights, r=self.r))
 
     def _cache_lookup(self, key) -> Optional[ObjectiveComponents]:
         """A cached value, but only if computed at least as tight as the
@@ -354,7 +330,7 @@ class SpectralObjective:
     def evaluate_batch(
         self, batch: Sequence
     ) -> Tuple[List[ObjectiveComponents], int]:
-        """Evaluate many weight vectors at once through the fast path.
+        """Evaluate many weight vectors at once.
 
         Deduplicates points by cache key, aggregates the distinct ``L(w)``
         data rows chunk-by-chunk with one GEMM per chunk
@@ -366,9 +342,7 @@ class SpectralObjective:
         e.g. neighboring grid nodes of a surface sweep — have nearby
         spectra).  When the solver context selects the ``batch`` backend,
         each chunk is handed to its threaded, seed-shared ``solve_many``
-        in one call instead of the sequential warm-start chain.  The
-        batch path always materializes data rows, so ``matrix_free`` does
-        not apply to it.
+        in one call instead of the sequential warm-start chain.
 
         Returns ``(components, n_eigensolves)`` where ``n_eigensolves`` is
         the number of eigensolves actually performed for this batch (cache
@@ -386,13 +360,7 @@ class SpectralObjective:
                 pending.setdefault(key, []).append(i)
 
         n_solves = 0
-        if pending and not self.fast_path:
-            for indices in pending.values():
-                component = self.components(points[indices[0]])
-                n_solves += 1
-                for i in indices:
-                    results[i] = component
-        elif pending:
+        if pending:
             unique = list(pending.items())
             weight_rows = np.asarray([points[ids[0]] for _, ids in unique])
             method = self._resolved_eigen_method()

@@ -11,7 +11,7 @@ These are the two paper workflows (Section III-B):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -45,15 +45,6 @@ class EmbedOutput:
     backend: str  # "netmf" or "sketchne"
 
 
-def _resolve_config(
-    config: Optional[SGLAConfig], fast_path: Optional[bool]
-) -> Optional[SGLAConfig]:
-    """Apply a pipeline-level ``fast_path`` override onto the config."""
-    if fast_path is None:
-        return config
-    return replace(config or SGLAConfig(), fast_path=fast_path)
-
-
 def cluster_mvag(
     mvag: MVAG,
     k: Optional[int] = None,
@@ -61,7 +52,6 @@ def cluster_mvag(
     config: Optional[SGLAConfig] = None,
     assign: str = "discretize",
     seed=0,
-    fast_path: Optional[bool] = None,
     solver: Optional[SolverContext] = None,
     neighbor_stats: Optional[NeighborStats] = None,
     shard: Optional[ShardContext] = None,
@@ -81,9 +71,6 @@ def cluster_mvag(
         SGLA hyperparameters (paper defaults when omitted).
     assign:
         Spectral assignment step: ``"discretize"`` or ``"kmeans"``.
-    fast_path:
-        Optional override of ``config.fast_path`` (the stacked/warm-started
-        objective evaluation path); ``None`` keeps the config's setting.
     solver:
         Optional shared :class:`repro.solvers.SolverContext` used by both
         the integration and the clustering eigensolve, so the final
@@ -101,7 +88,6 @@ def cluster_mvag(
         k = mvag.n_classes
     if k is None:
         raise ValidationError("k must be given for an unlabeled MVAG")
-    config = _resolve_config(config, fast_path)
     with shard_scope(config or SGLAConfig(), shard) as scoped:
         integration = integrate(
             mvag, k=k, method=method, config=config, solver=solver,
@@ -121,7 +107,6 @@ def embed_mvag(
     config: Optional[SGLAConfig] = None,
     backend: str = "auto",
     seed=0,
-    fast_path: Optional[bool] = None,
     solver: Optional[SolverContext] = None,
     neighbor_stats: Optional[NeighborStats] = None,
     shard: Optional[ShardContext] = None,
@@ -135,9 +120,6 @@ def embed_mvag(
     backend:
         ``"netmf"``, ``"sketchne"``, or ``"auto"`` (NetMF when the dense
         NetMF matrix fits, SketchNE-style otherwise — the paper's policy).
-    fast_path:
-        Optional override of ``config.fast_path`` (the stacked/warm-started
-        objective evaluation path); ``None`` keeps the config's setting.
     solver:
         Optional shared :class:`repro.solvers.SolverContext` used by both
         the integration and the embedding eigensolve.
@@ -153,7 +135,6 @@ def embed_mvag(
         k = mvag.n_classes
     if k is None:
         raise ValidationError("k must be given for an unlabeled MVAG")
-    config = _resolve_config(config, fast_path)
     with shard_scope(config or SGLAConfig(), shard) as scoped:
         integration = integrate(
             mvag, k=k, method=method, config=config, solver=solver,

@@ -56,11 +56,9 @@ class SGLAConfig:
     knn_params:
         Backend-specific knobs (rp-forest ``n_trees`` / ``leaf_size`` /
         ``refine_iters`` / ``spill``, exact-f32 ``tie_margin``).
-    eigen_method:
-        Eigensolver dispatch (any :mod:`repro.solvers` registry key).
     eigen_backend:
-        Alias for ``eigen_method`` matching the registry/CLI vocabulary;
-        when set (non-``None``) it wins over ``eigen_method``.
+        Eigensolver dispatch: ``"auto"`` (default) or any
+        :mod:`repro.solvers` registry key.
     solver_workers:
         Thread budget for the ``batch`` backend's concurrent solves
         (``None`` uses the host core count).
@@ -74,18 +72,10 @@ class SGLAConfig:
         is essentially free.
     seed:
         Determinism seed threaded through eigensolvers and optimizers.
-    fast_path:
-        Evaluate the objective through the stacked GEMV aggregation and
-        warm-started eigensolves (DESIGN.md §6, default).  ``False``
-        selects the legacy per-evaluation sparse-add + cold-start route,
-        kept for cross-checking.
-    matrix_free:
-        With ``fast_path``, run iterative eigensolvers against the
-        matrix-free aggregate operator instead of materializing ``L(w)``.
     warm_start:
-        With ``fast_path``, seed each iterative eigensolve with the
-        previous evaluation's Ritz vectors; disable to isolate warm-start
-        effects or to force cold starts on pathological spectra.
+        Seed each iterative eigensolve with the previous evaluation's
+        Ritz vectors; disable to isolate warm-start effects or to force
+        cold starts on pathological spectra.
     tol_ladder:
         Adaptive-precision eigensolving (DESIGN.md §8): map the
         optimizer's current trust radius to the eigensolve tolerance —
@@ -143,15 +133,12 @@ class SGLAConfig:
     knn_k: int = 10
     knn_backend: str = "exact"
     knn_params: Optional[dict] = None
-    eigen_method: str = "auto"
-    eigen_backend: Optional[str] = None
+    eigen_backend: str = "auto"
     solver_workers: Optional[int] = None
     optimizer_backend: str = "trust-linear"
     rho_start: float = 0.25
     surrogate_max_evaluations: int = 200
     seed: int = 0
-    fast_path: bool = True
-    matrix_free: bool = False
     warm_start: bool = True
     tol_ladder: bool = False
     ladder_coarse_tol: float = LADDER_COARSE_TOL
@@ -197,15 +184,10 @@ class SGLAConfig:
         if not self.coarsen_backend:
             raise ValidationError("coarsen_backend must be a non-empty name")
 
-    @property
-    def resolved_eigen_backend(self) -> str:
-        """The registry key the solvers will use."""
-        return self.eigen_backend or self.eigen_method
-
     def make_solver(self) -> SolverContext:
         """A fresh :class:`repro.solvers.SolverContext` for one run."""
         return SolverContext(
-            method=self.resolved_eigen_backend,
+            method=self.eigen_backend,
             seed=self.seed,
             warm_start=self.warm_start,
             max_workers=self.solver_workers,
@@ -388,8 +370,6 @@ class SGLA:
             k=k,
             gamma=config.gamma,
             seed=config.seed,
-            fast_path=config.fast_path,
-            matrix_free=config.matrix_free,
             solver=solver,
             shard=shard,
         )

@@ -156,8 +156,6 @@ class SGLAPlus:
             k=k,
             gamma=config.gamma,
             seed=config.seed,
-            fast_path=config.fast_path,
-            matrix_free=config.matrix_free,
             solver=solver,
             shard=shard,
         )

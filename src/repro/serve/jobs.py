@@ -41,8 +41,8 @@ from repro.utils.errors import ValidationError
 #: SGLAConfig fields a job may override (a closed, validated set — the
 #: rest of the config stays at paper defaults inside the daemon).
 CONFIG_KEYS = (
-    "n_samples", "t_max", "eps", "gamma", "knn_k", "fast_path",
-    "eigen_backend", "warm_start", "coarsen_levels",
+    "t_max", "eps", "gamma", "knn_k", "eigen_backend", "warm_start",
+    "coarsen_levels",
 )
 
 
@@ -409,7 +409,7 @@ def run_objective_group(
         profile, head.get("seed", 0), head.get("k"), config, overrides
     )
     solver = SolverContext(
-        method=config.resolved_eigen_backend,
+        method=config.eigen_backend,
         seed=head.get("seed", 0),
         warm_start=False,
     )
@@ -419,7 +419,6 @@ def run_objective_group(
         gamma=head.get("gamma", 0.5),
         cache=False,
         seed=head.get("seed", 0),
-        fast_path=config.fast_path,
         solver=solver,
         shard=shard,
     )

@@ -261,9 +261,9 @@ def shard_objective_batch(
                 batched=True,
                 coarse=solver.tol > 0,
             )
-            solver.seed_block(result.warm_block)
+            solver.seed_block(result.vectors)
             if warm and seed_block is None:
-                seed_block = result.warm_block
+                seed_block = result.vectors
             values.append(np.array(result.values, copy=True))
             local_rows = local_rows[1:]
         if not local_rows:

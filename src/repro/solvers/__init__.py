@@ -2,7 +2,7 @@
 
 Every eigensolve in the repository routes through this package: a
 string-keyed **backend registry** (``dense``, ``lanczos``, ``lobpcg``,
-``shift-invert``, ``chebyshev``, ``batch``), a shared dispatch policy
+``batch``), a shared dispatch policy
 (:func:`resolve_method`), stateless one-shot entry points
 (:func:`bottom_eigenpairs` / :func:`bottom_eigenvalues` /
 :func:`fiedler_value`), and a :class:`SolverContext` that carries
@@ -42,7 +42,6 @@ from repro.solvers.base import (
     canonicalize_signs,
 )
 from repro.solvers.batch import BatchedBackend, default_workers
-from repro.solvers.chebyshev import ChebyshevBackend
 from repro.solvers.context import SolverContext, SolverStats
 from repro.solvers.registry import (
     DENSE_CUTOFF,
@@ -55,7 +54,6 @@ from repro.solvers.registry import (
 
 __all__ = [
     "BatchedBackend",
-    "ChebyshevBackend",
     "DENSE_CUTOFF",
     "EigenBackend",
     "EigenProblem",

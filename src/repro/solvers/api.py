@@ -1,7 +1,6 @@
 """Stateless entry points over the backend registry.
 
-These functions preserve the original :mod:`repro.core.eigen` signatures —
-one-shot solves with no cross-call state.  Callers that evaluate many
+One-shot solves with no cross-call state.  Callers that evaluate many
 related problems (optimizer loops, batch sweeps) should hold a
 :class:`repro.solvers.context.SolverContext` instead, which layers
 warm-start reuse and statistics on top of the same registry.
@@ -16,7 +15,6 @@ import scipy.sparse.linalg as spla
 
 import repro.solvers.backends  # noqa: F401  — registers the built-ins
 import repro.solvers.batch  # noqa: F401  — registers the batch backend
-import repro.solvers.chebyshev  # noqa: F401  — registers the filtered backend
 from repro.solvers.base import EigenProblem
 from repro.solvers.registry import get_backend, resolve_method
 from repro.utils.errors import ValidationError
@@ -26,20 +24,22 @@ from repro.utils.sparse import ensure_csr
 def validate_operand(laplacian, t: int):
     """Shared validation for every solve entry point (no dispatch).
 
-    Returns ``(operand, n, t, is_operator)`` where ``operand`` is CSR for
-    matrix inputs and untouched for ``LinearOperator`` inputs and ``t``
-    is clamped to ``n``.
+    Returns ``(operand, n, t)`` where ``operand`` is CSR and ``t`` is
+    clamped to ``n``.
     """
-    is_operator = isinstance(laplacian, spla.LinearOperator)
-    if not is_operator:
-        laplacian = ensure_csr(laplacian)
+    if isinstance(laplacian, spla.LinearOperator):
+        raise ValidationError(
+            "matrix-free LinearOperator operands are not supported; "
+            "pass the assembled (sparse or dense) Laplacian"
+        )
+    laplacian = ensure_csr(laplacian)
     if laplacian.shape[0] != laplacian.shape[1]:
         raise ValidationError(f"laplacian must be square, got {laplacian.shape}")
     n = laplacian.shape[0]
     if t < 1:
         raise ValidationError(f"t must be >= 1, got {t}")
     t = min(t, n)
-    return laplacian, n, t, is_operator
+    return laplacian, n, t
 
 
 def prepare(laplacian, t: int, method: str):
@@ -50,9 +50,8 @@ def prepare(laplacian, t: int, method: str):
     plus :meth:`SolverContext.resolve` instead, so the dispatch rule is
     applied exactly once either way.
     """
-    operand, n, t, is_operator = validate_operand(laplacian, t)
-    method = resolve_method(n, t, method, is_operator=is_operator)
-    return operand, n, t, method
+    operand, n, t = validate_operand(laplacian, t)
+    return operand, n, t, resolve_method(n, t, method)
 
 
 def bottom_eigenpairs(
@@ -69,9 +68,8 @@ def bottom_eigenpairs(
     Parameters
     ----------
     laplacian:
-        Symmetric PSD matrix — or matrix-free ``LinearOperator`` — with
-        spectrum in ``[0, 2]`` (a normalized Laplacian or convex
-        combination thereof).
+        Symmetric PSD matrix with spectrum in ``[0, 2]`` (a normalized
+        Laplacian or convex combination thereof).
     t:
         Number of requested eigenpairs (clamped to ``n``).
     method:

@@ -3,21 +3,15 @@
 All backends compute the *bottom* of a symmetric PSD spectrum contained in
 ``[0, 2]`` (normalized Laplacians and convex combinations thereof):
 
-* ``dense``        — ``scipy.linalg.eigh`` on the materialized matrix;
-  exact, the ground truth for small ``n`` and in tests;
-* ``lanczos``      — implicitly-restarted Lanczos (``eigsh``) on the
+* ``dense``   — ``scipy.linalg.eigh`` on the materialized matrix; exact,
+  the ground truth for small ``n`` and in tests;
+* ``lanczos`` — implicitly-restarted Lanczos (``eigsh``) on the
   complement ``2I - L`` (largest-of-complement converges without any
-  factorization or shift-invert);
-* ``lobpcg``       — block preconditioned solver; best with many requested
-  pairs and a good warm-start block;
-* ``shift-invert`` — ``eigsh`` in shift-invert mode with a small negative
-  shift (``L - sigma I`` is SPD, so the sparse factorization always
-  exists); converges in very few iterations on tightly clustered bottom
-  spectra where plain Lanczos stalls.
+  sparse factorization);
+* ``lobpcg``  — block preconditioned solver; best with many requested
+  pairs and a good warm-start block.
 
-The Chebyshev-filtered block backend lives in its own module
-(:mod:`repro.solvers.chebyshev`) — it is scipy-free numerics on top of
-:mod:`repro.core.lanczos`.  Together these are the only modules in the
+Together with :mod:`repro.solvers.batch` these are the only modules in the
 repository allowed to call ``scipy.linalg.eigh`` / ``eigsh`` / ``lobpcg``
 directly — everything else goes through the registry
 (:mod:`repro.solvers.registry`).
@@ -29,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.solvers.base import (
@@ -44,21 +37,8 @@ from repro.utils.random import check_random_state
 from repro.utils.sparse import ensure_csr, sparse_identity
 
 
-def _materialize(operand) -> sp.csr_matrix:
-    """CSR form of the operand (densifying a matrix-free operator)."""
-    if isinstance(operand, spla.LinearOperator):
-        return ensure_csr(operand @ np.eye(operand.shape[0]))
-    return ensure_csr(operand)
-
-
 def _complement(operand, n: int):
-    """``2I - L`` as a matrix, or matrix-free when ``L`` is an operator."""
-    if isinstance(operand, spla.LinearOperator):
-        return spla.LinearOperator(
-            operand.shape,
-            matvec=lambda x: SPECTRUM_UPPER_BOUND * x - (operand @ x),
-            dtype=np.float64,
-        )
+    """``2I - L``, whose largest eigenpairs are ``L``'s smallest."""
     return (SPECTRUM_UPPER_BOUND * sparse_identity(n)) - operand
 
 
@@ -79,12 +59,16 @@ def _collapse_warm_start(v0, n: int) -> Optional[np.ndarray]:
     return v0 / norm
 
 
+def _rng(problem: EigenProblem) -> np.random.Generator:
+    """The problem's seeded generator (an unset seed means 0)."""
+    return check_random_state(problem.seed if problem.seed is not None else 0)
+
+
 def _start_vector(problem: EigenProblem) -> np.ndarray:
     """Warm start collapsed to one vector, else the seeded random start."""
     start = _collapse_warm_start(problem.v0, problem.n)
     if start is None:
-        rng = check_random_state(problem.seed if problem.seed is not None else 0)
-        start = rng.standard_normal(problem.n)
+        start = _rng(problem).standard_normal(problem.n)
     return start
 
 
@@ -94,6 +78,11 @@ def _eigsh_with_salvage(problem: EigenProblem, operand, **eigsh_kwargs):
     Honors ``want_vectors`` and salvages partial results from
     ``ArpackNoConvergence`` when enough pairs converged; returns the raw
     ``(values, vectors_or_None)`` for the caller to order and clip.
+
+    ARPACK draws a fresh start vector whenever it finds an invariant
+    subspace (e.g. a graph with more than ``t`` connected components);
+    ``rng`` seeds those draws so such solves repeat bit for bit instead
+    of reading OS entropy.
     """
     vectors = None
     try:
@@ -104,6 +93,7 @@ def _eigsh_with_salvage(problem: EigenProblem, operand, **eigsh_kwargs):
             v0=_start_vector(problem),
             maxiter=problem.maxiter,
             return_eigenvectors=problem.want_vectors,
+            rng=_rng(problem),
             **eigsh_kwargs,
         )
         values, vectors = result if problem.want_vectors else (result, None)
@@ -121,10 +111,9 @@ class DenseBackend(EigenBackend):
     """Exact dense solver (LAPACK ``eigh``); matvec-free."""
 
     name = "dense"
-    supports_operator = True  # via materialization — tiny-n fallback only
 
     def solve(self, problem: EigenProblem) -> EigenResult:
-        matrix = _materialize(problem.operand).toarray()
+        matrix = ensure_csr(problem.operand).toarray()
         t = problem.t
         if not problem.want_vectors:
             values = scipy.linalg.eigh(matrix, eigvals_only=True)
@@ -158,7 +147,7 @@ class LobpcgBackend(EigenBackend):
 
     def solve(self, problem: EigenProblem) -> EigenResult:
         n, t = problem.n, problem.t
-        rng = check_random_state(problem.seed if problem.seed is not None else 0)
+        rng = _rng(problem)
         guess = None
         if problem.v0 is not None:
             block = np.asarray(problem.v0, dtype=np.float64)
@@ -193,46 +182,6 @@ class LobpcgBackend(EigenBackend):
         return EigenResult(values, vectors, self.name, matvecs=counter.count)
 
 
-class ShiftInvertBackend(EigenBackend):
-    """``eigsh`` in shift-invert mode around a small negative shift.
-
-    Each iteration applies ``(L - sigma I)^{-1}`` through a sparse LU
-    factorization, so convergence depends on the *separation* of the
-    bottom eigenvalues from the rest of the spectrum after inversion —
-    typically a handful of iterations even when the bottom cluster is
-    tight.  Requires a materialized matrix (the dispatch reroutes
-    matrix-free operands to ``lanczos``).  ``matvecs`` reports inner-
-    operator applications, i.e. sparse triangular solves, not SpMVs —
-    the factorization is built here and handed to ARPACK as ``OPinv``
-    wrapped in the counter.
-    """
-
-    name = "shift-invert"
-    supports_operator = False
-
-    #: shift strictly below the PSD spectrum so ``L - sigma I`` is SPD.
-    sigma = -1e-2
-
-    def solve(self, problem: EigenProblem) -> EigenResult:
-        matrix = ensure_csr(problem.operand).tocsc()
-        shifted = (matrix - self.sigma * sparse_identity(problem.n)).tocsc()
-        factorization = spla.splu(shifted)
-        opinv = MatvecCounter(
-            spla.LinearOperator(
-                matrix.shape, matvec=factorization.solve, dtype=np.float64
-            )
-        )
-        values, vectors = _eigsh_with_salvage(
-            problem, matrix, sigma=self.sigma, OPinv=opinv, which="LM"
-        )
-        order = np.argsort(values)
-        values = np.clip(values[order], 0.0, SPECTRUM_UPPER_BOUND)
-        if vectors is not None:
-            vectors = vectors[:, order]
-        return EigenResult(values, vectors, self.name, matvecs=opinv.count)
-
-
 register_backend(DenseBackend())
 register_backend(LanczosBackend())
 register_backend(LobpcgBackend())
-register_backend(ShiftInvertBackend())

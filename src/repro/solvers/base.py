@@ -1,8 +1,8 @@
 """Problem/result model shared by every spectral-solver backend.
 
 A backend receives a fully *prepared* :class:`EigenProblem` — the operand
-has already been validated (square, CSR for matrix inputs), ``t`` clamped,
-and the backend choice settled by the dispatch policy
+has already been validated (square CSR), ``t`` clamped, and the backend
+choice settled by the dispatch policy
 (:func:`repro.solvers.registry.resolve_method`).  Backends therefore only
 implement numerics; validation and routing live in one place.
 
@@ -16,7 +16,7 @@ backend comparisons measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -31,8 +31,8 @@ class EigenProblem:
     Attributes
     ----------
     operand:
-        The (validated) symmetric PSD matrix — CSR — or matrix-free
-        ``LinearOperator`` with spectrum in ``[0, 2]``.
+        The (validated) symmetric PSD CSR matrix with spectrum in
+        ``[0, 2]``.
     t:
         Number of requested eigenpairs (already clamped to ``n``).
     tol:
@@ -47,11 +47,6 @@ class EigenProblem:
     want_vectors:
         When ``False`` the backend may skip Ritz-vector assembly and
         return ``vectors=None``.
-    interval:
-        Optional ``(lower, upper)`` spectral-interval hint from a
-        previous nearby solve; backends that estimate the interval
-        (``chebyshev``) may start from it instead of spending matvecs
-        re-deriving it, as long as they guard against drift.
     """
 
     operand: object
@@ -61,17 +56,11 @@ class EigenProblem:
     maxiter: Optional[int] = None
     v0: Optional[np.ndarray] = None
     want_vectors: bool = True
-    interval: Optional[Tuple[float, float]] = None
 
     @property
     def n(self) -> int:
         """Problem dimension."""
         return self.operand.shape[0]
-
-    @property
-    def is_operator(self) -> bool:
-        """Whether the operand is matrix-free."""
-        return isinstance(self.operand, spla.LinearOperator)
 
     def with_v0(self, v0: Optional[np.ndarray]) -> "EigenProblem":
         """A copy of this problem seeded with ``v0`` (keeps an explicit
@@ -79,16 +68,6 @@ class EigenProblem:
         if self.v0 is not None:
             return self
         return replace(self, v0=v0)
-
-    def with_tol(self, tol: float) -> "EigenProblem":
-        """A copy of this problem retargeted to tolerance ``tol``.
-
-        The tolerance-ladder plumbing: batch/driver code that prepared a
-        problem at one precision can cheaply re-issue it at another (e.g.
-        the final full-precision re-evaluation of an incumbent solved
-        coarsely during early trust-region iterations).
-        """
-        return replace(self, tol=float(tol))
 
 
 @dataclass
@@ -98,32 +77,13 @@ class EigenResult:
     ``values`` are the bottom eigenvalues ascending, clipped to the
     Laplacian spectrum range; ``vectors`` are column-aligned (or ``None``
     for values-only solves); ``matvecs`` counts operator applications
-    (0 for direct solvers).  Block backends may additionally expose
-    ``ritz_block`` — their full internal subspace basis (wanted pairs
-    *plus* guard columns), which is a strictly better warm start for the
-    next nearby solve than the wanted vectors alone; consumers
-    (:class:`repro.solvers.context.SolverContext`, the ``batch``
-    backend's shared seeding) prefer it over ``vectors`` when present.
+    (0 for direct solvers).
     """
 
     values: np.ndarray
     vectors: Optional[np.ndarray]
     backend: str
     matvecs: int = 0
-    ritz_block: Optional[np.ndarray] = None
-    #: the (lower, upper) spectral-interval estimate this solve derived
-    #: or validated — reusable as the next nearby solve's hint.
-    spectral_interval: Optional[Tuple[float, float]] = None
-
-    @property
-    def warm_block(self) -> Optional[np.ndarray]:
-        """The best block to seed a subsequent nearby solve with."""
-        return self.ritz_block if self.ritz_block is not None else self.vectors
-
-    @property
-    def pair(self):
-        """``(values, vectors)`` — the legacy tuple shape."""
-        return self.values, self.vectors
 
 
 def canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
@@ -180,8 +140,6 @@ class EigenBackend:
 
     #: registry key; subclasses override.
     name: str = ""
-    #: whether the backend accepts matrix-free ``LinearOperator`` operands.
-    supports_operator: bool = True
 
     def solve(self, problem: EigenProblem) -> EigenResult:
         raise NotImplementedError

@@ -16,7 +16,9 @@ subspace for all the others.
 * **thread-level parallelism** — the remaining problems run concurrently
   on a ``ThreadPoolExecutor``; scipy's ARPACK/LAPACK/SpMV kernels release
   the GIL, so on multi-core hosts the solves genuinely overlap (on a
-  single-core host the win reduces to the seeding alone).
+  single-core host the win reduces to the seeding alone).  Concurrent
+  ``eigsh`` calls rely on the re-entrant C ARPACK of scipy >= 1.15, the
+  declared floor.
 
 Determinism: each follower's result depends only on its own problem and
 the shared seed block — never on thread scheduling — so batch output is
@@ -30,23 +32,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import List, Optional
 
-import scipy
-
 from repro.solvers.base import EigenBackend, EigenProblem, EigenResult
 from repro.solvers.registry import get_backend, register_backend
-
-# scipy < 1.15 wraps the non-re-entrant Fortran ARPACK; concurrent eigsh
-# calls there corrupt its global state.  1.15+ ships the thread-safe C
-# translation, so only then do we actually fan out.
-_SCIPY_THREAD_SAFE = tuple(
-    int(part) for part in scipy.__version__.split(".")[:2]
-) >= (1, 15)
 
 
 def default_workers() -> int:
     """Thread count used when the caller does not pin one."""
-    if not _SCIPY_THREAD_SAFE:
-        return 1
     return max(1, os.cpu_count() or 1)
 
 
@@ -100,16 +91,11 @@ class BatchedBackend(EigenBackend):
             rest = list(problems[1:])
         else:
             first = inner.solve(replace(problems[0], want_vectors=True))
-            # Block backends hand back their full guard-padded subspace
-            # (EigenResult.warm_block); it seeds followers better than
-            # the wanted Ritz vectors alone.
-            rest = [problem.with_v0(first.warm_block) for problem in problems[1:]]
+            rest = [problem.with_v0(first.vectors) for problem in problems[1:]]
         results: List[EigenResult] = [first]
         if not rest:
             return results
         workers = max_workers or self.max_workers or default_workers()
-        if not _SCIPY_THREAD_SAFE:
-            workers = 1
         if workers <= 1 or len(rest) == 1:
             results.extend(inner.solve(problem) for problem in rest)
             return results

@@ -1,15 +1,14 @@
 """SolverContext — per-run solver state: warm starts, policy, statistics.
 
 A :class:`SolverContext` is what call sites thread through the pipeline
-instead of ad-hoc ``eigen_method`` strings.  It owns the three things a
-bare registry lookup cannot:
+instead of ad-hoc backend strings.  It owns the three things a bare
+registry lookup cannot:
 
 * **warm-start Ritz blocks**, keyed by problem size, reused across every
   solve the context performs (optimizer steps move weights slightly, so
   consecutive spectra are close — the blocks cut iteration counts);
-* **dispatch policy** — the backend choice plus an optional per-run dense
-  cutoff override, resolved through the one shared
-  :func:`repro.solvers.registry.resolve_method` rule;
+* **dispatch policy** — the backend choice, resolved through the one
+  shared :func:`repro.solvers.registry.resolve_method` rule;
 * **statistics** — eigensolves performed and saved, warm/cold split, and
   matvec counts, so warm-start and batching benefits are measurable
   end to end.
@@ -140,9 +139,6 @@ class SolverContext:
         Reuse each solve's Ritz block to seed the next solve of the same
         problem size.  Never changes tolerances, so accuracy is identical
         to cold starts.
-    dense_cutoff:
-        Optional per-run override of the ``"auto"`` dense/iterative
-        boundary (:data:`repro.solvers.registry.DENSE_CUTOFF`).
     max_workers:
         Thread budget for :meth:`solve_many` when the ``batch`` backend is
         selected.
@@ -155,7 +151,6 @@ class SolverContext:
         seed=0,
         maxiter: Optional[int] = None,
         warm_start: bool = True,
-        dense_cutoff: Optional[int] = None,
         max_workers: Optional[int] = None,
     ) -> None:
         self.method = method
@@ -163,31 +158,17 @@ class SolverContext:
         self.seed = seed
         self.maxiter = maxiter
         self.warm_start = bool(warm_start)
-        self.dense_cutoff = dense_cutoff
         self.max_workers = max_workers
         self.stats = SolverStats()
         self._warm_blocks: Dict[int, np.ndarray] = {}
-        # Spectral-interval estimates keyed like the warm blocks; saves
-        # the chebyshev backend its per-solve Lanczos interval run on
-        # warm-started chains (the backend guards against drift).
-        self._intervals: Dict[int, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------ #
     # Policy
     # ------------------------------------------------------------------ #
 
-    def resolve(
-        self, n: int, t: int, method: Optional[str] = None, is_operator: bool = False
-    ) -> str:
+    def resolve(self, n: int, t: int, method: Optional[str] = None) -> str:
         """The backend this context will run for an ``(n, t)`` problem."""
-        method = method or self.method
-        if method == "auto" and self.dense_cutoff is not None:
-            method = (
-                "dense"
-                if (n <= self.dense_cutoff and not is_operator)
-                else "lanczos"
-            )
-        return resolve_method(n, t, method, is_operator=is_operator)
+        return resolve_method(n, t, method or self.method)
 
     # ------------------------------------------------------------------ #
     # Warm-start blocks
@@ -213,7 +194,6 @@ class SolverContext:
     def invalidate(self) -> None:
         """Drop all cached warm-start state (keeps statistics)."""
         self._warm_blocks.clear()
-        self._intervals.clear()
 
     # ------------------------------------------------------------------ #
     # Target tolerance (the trust-region ladder's knob)
@@ -256,23 +236,13 @@ class SolverContext:
             maxiter=self.maxiter,
             v0=v0,
             want_vectors=want_vectors,
-            interval=(
-                self._intervals.get(operand.shape[0]) if warm else None
-            ),
         )
         return problem, v0 is not None
 
     def _finish(self, result: EigenResult, warm_used: bool, batched: bool = False):
-        block = result.warm_block
+        block = result.vectors
         if block is not None and self.warm_start:
             self._warm_blocks[block.shape[0]] = block
-            if result.spectral_interval is not None:
-                self._intervals[block.shape[0]] = result.spectral_interval
-            else:
-                # The backend could not vouch for an interval (hint was
-                # found stale, or the backend does not estimate one);
-                # drop ours so the next solve re-estimates fresh.
-                self._intervals.pop(block.shape[0], None)
         self.stats.record(
             result, warm=warm_used, batched=batched, coarse=self.tol > 0
         )
@@ -294,8 +264,8 @@ class SolverContext:
         *next* solve is cheap, everything else may use the backend's
         values-only path.
         """
-        operand, n, t, is_operator = validate_operand(laplacian, t)
-        resolved = self.resolve(n, t, method=method, is_operator=is_operator)
+        operand, n, t = validate_operand(laplacian, t)
+        resolved = self.resolve(n, t, method=method)
         use_warm = self.warm_start if warm is None else bool(warm)
         if want_vectors is None:
             want_vectors = use_warm
@@ -355,13 +325,13 @@ class SolverContext:
         validated = [
             validate_operand(laplacian, t) for laplacian in laplacians
         ]
-        first_operand, n, first_t, is_operator = validated[0]
-        resolved = self.resolve(n, first_t, method=method, is_operator=is_operator)
+        _, n, first_t = validated[0]
+        resolved = self.resolve(n, first_t, method=method)
         backend = get_backend(resolved)
         if isinstance(backend, BatchedBackend):
             seed_block = self._warm_blocks.get(n) if self.warm_start else None
             problems = []
-            for operand, _, t_eff, _ in validated:
+            for operand, _, t_eff in validated:
                 problem, _ = self._problem(operand, t_eff, want_vectors, False)
                 problems.append(problem.with_v0(seed_block))
             results = backend.solve_many(
@@ -389,7 +359,7 @@ class SolverContext:
                 )
             return out
         out = []
-        for operand, _, t_eff, _ in validated:
+        for operand, _, t_eff in validated:
             pair = (
                 self.eigenpairs(operand, t_eff, method=method)
                 if want_vectors

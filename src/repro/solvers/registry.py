@@ -2,25 +2,20 @@
 
 Every eigensolve in the repository routes through this registry: call
 sites name a backend (``"dense"``, ``"lanczos"``, ``"lobpcg"``,
-``"shift-invert"``, ``"chebyshev"``, ``"batch"``, or ``"auto"``), and
-:func:`resolve_method` settles what actually runs for a given problem
-size.  Adding a solver — a GPU offload, a Chebyshev filter, a sharded
-remote backend — is one :func:`register_backend` call; no call site
-changes.
+``"batch"``, or ``"auto"``), and :func:`resolve_method` settles what
+actually runs for a given problem size.  Adding a solver is one
+:func:`register_backend` call; no call site changes.
 
 Dispatch rules (single source of truth — callers that plan around the
 dispatch must use :func:`resolve_method` rather than re-deriving it):
 
-* ``"auto"`` picks ``dense`` at or below :data:`DENSE_CUTOFF` (Lanczos
-  for matrix-free operands, which cannot be densified cheaply);
+* ``"auto"`` picks ``dense`` at or below :data:`DENSE_CUTOFF`, else
+  ``lanczos``;
 * iterative methods fall back to ``dense`` when ARPACK's ``t < n - 1``
   requirement is violated;
-* the block solvers ``lobpcg`` and ``chebyshev`` fall back to ``dense``
-  whenever the block is large relative to the problem (``5 t >= n``,
-  scipy's documented minimum lobpcg ratio) — previously each caller had
-  to guard this separately;
-* ``shift-invert`` needs a factorizable matrix, so matrix-free operands
-  reroute to ``lanczos``.
+* the block solver ``lobpcg`` falls back to ``dense`` whenever the block
+  is large relative to the problem (``5 t >= n``, scipy's documented
+  minimum lobpcg ratio).
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ DENSE_CUTOFF = 600
 LOBPCG_MIN_RATIO = 5
 
 #: methods that run an iterative solver (directly or via an inner backend).
-_ITERATIVE = ("lanczos", "lobpcg", "shift-invert", "batch", "chebyshev")
+_ITERATIVE = ("lanczos", "lobpcg", "batch")
 
 _REGISTRY: Dict[str, EigenBackend] = {}
 
@@ -84,7 +79,7 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def resolve_method(n: int, t: int, method: str, is_operator: bool = False) -> str:
+def resolve_method(n: int, t: int, method: str) -> str:
     """The backend actually used for an ``n x n`` problem with ``t`` pairs.
 
     Accepts any registered backend name plus ``"auto"``; unknown names
@@ -92,11 +87,9 @@ def resolve_method(n: int, t: int, method: str, is_operator: bool = False) -> st
     alternatives.
     """
     if method == "auto":
-        method = "dense" if (n <= DENSE_CUTOFF and not is_operator) else "lanczos"
-    if method == "shift-invert" and is_operator:
-        method = "lanczos"
-    if method in ("lobpcg", "chebyshev") and LOBPCG_MIN_RATIO * t >= n:
-        # Block solvers need the block small relative to the problem;
+        method = "dense" if n <= DENSE_CUTOFF else "lanczos"
+    if method == "lobpcg" and LOBPCG_MIN_RATIO * t >= n:
+        # The block solver needs the block small relative to the problem;
         # tiny problems are cheaper (and exact) on the dense path anyway.
         method = "dense"
     # eigsh requires t < n; fall back to the exact dense path otherwise.

@@ -63,10 +63,10 @@ class TestClusterCommand:
         assert code == 0
         assert "view weights" not in capsys.readouterr().out
 
-    def test_chebyshev_backend_and_tol_ladder(self, capsys):
+    def test_lanczos_backend_and_tol_ladder(self, capsys):
         code = main(
             ["cluster", "rm", "--method", "sgla",
-             "--eigen-backend", "chebyshev", "--tol-ladder"]
+             "--eigen-backend", "lanczos", "--tol-ladder"]
         )
         assert code == 0
         out = capsys.readouterr().out

@@ -1,10 +1,10 @@
 """Cross-backend conformance harness: one differential test matrix.
 
-The codebase now exposes 3 eigensolver backends x 3 neighbor backends x 2
-objective evaluation paths, and per-PR parity checks only ever compared
-the pair a PR introduced.  This suite sweeps the full combinatorial
-surface through the *end-to-end* pipeline (``cluster_mvag`` with SGLA+)
-and asserts every combination lands on the same optimum:
+The codebase exposes 2 eigensolver backends for the objective loop x 3
+neighbor backends, and per-PR parity checks only ever compared the pair
+a PR introduced.  This suite sweeps the full combinatorial surface
+through the *end-to-end* pipeline (``cluster_mvag`` with SGLA+) and
+asserts every combination lands on the same optimum:
 
 * ``|w* - w*_ref| < 1e-6`` pairwise (the objective surfaces differ only
   by eigensolve round-off, so the selected view weights must agree far
@@ -34,14 +34,11 @@ from repro.datasets.generator import generate_mvag
 from repro.datasets.running_example import running_example_mvag
 from repro.evaluation.clustering_metrics import clustering_report
 
-EIGEN_BACKENDS = ("dense", "lanczos", "chebyshev")
+EIGEN_BACKENDS = ("dense", "lanczos")
 KNN_BACKENDS = ("exact", "exact-f32", "rp-forest")
-FAST_PATHS = (True, False)
 
-MATRIX = tuple(
-    itertools.product(EIGEN_BACKENDS, KNN_BACKENDS, FAST_PATHS)
-)
-REFERENCE = ("dense", "exact", True)
+MATRIX = tuple(itertools.product(EIGEN_BACKENDS, KNN_BACKENDS))
+REFERENCE = ("dense", "exact")
 
 #: pairwise weight agreement across the matrix.
 W_TOL = 1e-6
@@ -50,9 +47,8 @@ W_TOL = 1e-6
 @pytest.fixture(scope="module")
 def conformance_mvag():
     """Well-separated 3-cluster MVAG, sized so every eigen backend keeps
-    its own numerics (n > DENSE_CUTOFF would force nothing; chebyshev's
-    ``5 t >= n`` dense fallback needs n > 20) while the whole 18-run
-    matrix stays fast."""
+    its own numerics (an explicit ``lanczos`` is not rerouted to dense
+    at this n) while the whole 6-run matrix stays fast."""
     return generate_mvag(
         n_nodes=400,
         n_clusters=3,
@@ -65,38 +61,32 @@ def conformance_mvag():
 
 @pytest.fixture(scope="module")
 def matrix_outputs(conformance_mvag):
-    """Every (eigen, knn, fast_path) combination, run once."""
+    """Every (eigen, knn) combination, run once."""
     outputs = {}
-    for eigen, knn, fast in MATRIX:
-        config = SGLAConfig(
-            eigen_backend=eigen,
-            knn_backend=knn,
-            fast_path=fast,
-        )
-        outputs[(eigen, knn, fast)] = cluster_mvag(
+    for eigen, knn in MATRIX:
+        config = SGLAConfig(eigen_backend=eigen, knn_backend=knn)
+        outputs[(eigen, knn)] = cluster_mvag(
             conformance_mvag, method="sgla+", config=config
         )
     return outputs
 
 
-@pytest.mark.parametrize("eigen,knn,fast", MATRIX)
-def test_weights_agree_with_reference(matrix_outputs, eigen, knn, fast):
+@pytest.mark.parametrize("eigen,knn", MATRIX)
+def test_weights_agree_with_reference(matrix_outputs, eigen, knn):
     reference = matrix_outputs[REFERENCE].integration.weights
-    weights = matrix_outputs[(eigen, knn, fast)].integration.weights
+    weights = matrix_outputs[(eigen, knn)].integration.weights
     delta = float(np.max(np.abs(weights - reference)))
     assert delta < W_TOL, (
-        f"w* drifted {delta:.2e} for eigen={eigen}, knn={knn}, "
-        f"fast_path={fast}"
+        f"w* drifted {delta:.2e} for eigen={eigen}, knn={knn}"
     )
 
 
-@pytest.mark.parametrize("eigen,knn,fast", MATRIX)
-def test_labels_identical_to_reference(matrix_outputs, eigen, knn, fast):
+@pytest.mark.parametrize("eigen,knn", MATRIX)
+def test_labels_identical_to_reference(matrix_outputs, eigen, knn):
     reference = matrix_outputs[REFERENCE].labels
-    labels = matrix_outputs[(eigen, knn, fast)].labels
+    labels = matrix_outputs[(eigen, knn)].labels
     assert np.array_equal(labels, reference), (
-        f"cluster assignments differ for eigen={eigen}, knn={knn}, "
-        f"fast_path={fast}"
+        f"cluster assignments differ for eigen={eigen}, knn={knn}"
     )
 
 
@@ -132,19 +122,17 @@ def test_matrix_recovers_ground_truth(matrix_outputs, conformance_mvag):
 def running_example_outputs():
     mvag = running_example_mvag()
     outputs = {}
-    for eigen, fast in itertools.product(EIGEN_BACKENDS, FAST_PATHS):
+    for eigen in EIGEN_BACKENDS:
         # No attribute views on the running example, so the knn axis is
         # moot; every eigen backend resolves dense at n=8, making this
         # the exact-equality corner of the matrix.
-        config = SGLAConfig(eigen_backend=eigen, fast_path=fast)
-        outputs[(eigen, fast)] = cluster_mvag(
-            mvag, method="sgla+", config=config
-        )
+        config = SGLAConfig(eigen_backend=eigen)
+        outputs[eigen] = cluster_mvag(mvag, method="sgla+", config=config)
     return outputs
 
 
 def test_running_example_exact_agreement(running_example_outputs):
-    reference = running_example_outputs[("dense", True)]
+    reference = running_example_outputs["dense"]
     for combo, output in running_example_outputs.items():
         assert np.allclose(
             output.integration.weights,
@@ -156,7 +144,7 @@ def test_running_example_exact_agreement(running_example_outputs):
 
 def test_running_example_finds_both_clusters(running_example_outputs):
     mvag = running_example_mvag()
-    labels = running_example_outputs[("dense", True)].labels
+    labels = running_example_outputs["dense"].labels
     report = clustering_report(mvag.labels, labels)
     assert report["ari"] == 1.0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.eigen import (
+from repro.solvers import (
     bottom_eigenpairs,
     bottom_eigenvalues,
     fiedler_value,
@@ -89,6 +89,20 @@ class TestEdgeCases:
         a = bottom_eigenvalues(laplacian, 4, method="lanczos", seed=7)
         b = bottom_eigenvalues(laplacian, 4, method="lanczos", seed=7)
         np.testing.assert_array_equal(a, b)
+
+    def test_invariant_subspace_restarts_are_seeded(self):
+        """20 disjoint cliques give a 20-fold zero eigenvalue, so ARPACK
+        meets an invariant subspace and asks for fresh start vectors;
+        those must come from the seed, not OS entropy."""
+        clique = sp.csr_matrix(np.ones((30, 30)) - np.eye(30))
+        laplacian = normalized_laplacian(sp.block_diag([clique] * 20).tocsr())
+        runs = [
+            bottom_eigenpairs(laplacian, 5, method="lanczos", seed=0)
+            for _ in range(4)
+        ]
+        for values, vectors in runs[1:]:
+            np.testing.assert_array_equal(values, runs[0][0])
+            np.testing.assert_array_equal(vectors, runs[0][1])
 
 
 class TestFiedler:

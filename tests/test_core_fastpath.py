@@ -2,9 +2,9 @@
 
 The fast path (stacked GEMV aggregation + warm-started eigensolves) must be
 a pure performance change: every eigenvalue and objective value it produces
-has to match the dense ground-truth solver — and the legacy sparse-add
-route — to tight tolerance, across view counts, disconnected views, and
-zero weights.
+has to match the dense ground-truth solver — and the sparse-add + cold-solve
+reference route (:class:`LegacyObjective` below) — to tight tolerance,
+across view counts, disconnected views, and zero weights.
 """
 
 import numpy as np
@@ -12,7 +12,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.core.eigen import bottom_eigenpairs, bottom_eigenvalues
+import repro.core.sgla
+import repro.core.sgla_plus
 from repro.core.fastpath import StackedLaplacians
 from repro.core.laplacian import (
     aggregate_laplacians,
@@ -23,8 +24,26 @@ from repro.core.objective import SpectralObjective, objective_surface
 from repro.core.sgla import SGLA, SGLAConfig
 from repro.core.sgla_plus import SGLAPlus
 from repro.datasets.generator import generate_mvag
-from repro.utils.errors import ShapeError, ValidationError
+from repro.solvers import SolverContext, bottom_eigenpairs, bottom_eigenvalues
+from repro.utils.errors import ReproError, ShapeError, ValidationError
 from repro.utils.sparse import to_dense
+
+
+class LegacyObjective(SpectralObjective):
+    """The parity reference: ``L(w)`` rebuilt by ``aggregate_laplacians``
+    on every evaluation and solved cold, with no stack and no batching."""
+
+    def _solve(self, weights):
+        laplacian = aggregate_laplacians(self.laplacians, weights)
+        return self.solver.eigenvalues(laplacian, self.k + 1, warm=False)
+
+    def aggregate(self, weights):
+        return aggregate_laplacians(self.laplacians, weights)
+
+    def evaluate_batch(self, batch):
+        before = self.n_evaluations
+        components = [self.components(weights) for weights in batch]
+        return components, self.n_evaluations - before
 
 
 def random_laplacians(n, r, seed=0, disconnect_view=None):
@@ -91,18 +110,6 @@ class TestStackedLaplacians:
                 atol=1e-12,
             )
 
-    def test_operator_matches_materialized(self):
-        rng = np.random.default_rng(7)
-        laplacians = random_laplacians(35, 4, seed=6)
-        stack = StackedLaplacians(laplacians)
-        weights = random_simplex_weights(4, rng, zero_out=1)
-        operator = stack.operator(weights)
-        dense = to_dense(stack.combine(weights))
-        x = rng.standard_normal(35)
-        np.testing.assert_allclose(operator @ x, dense @ x, atol=1e-10)
-        block = rng.standard_normal((35, 3))
-        np.testing.assert_allclose(operator @ block, dense @ block, atol=1e-10)
-
     def test_non_canonical_input_duplicates_are_summed(self):
         """Duplicate (row, col) CSR entries must coalesce, not overwrite."""
         duplicated = sp.csr_matrix(
@@ -137,15 +144,15 @@ class TestStackedLaplacians:
 
 class TestEigenParity:
     @pytest.mark.parametrize("r", [1, 2, 4, 5])
-    def test_fast_path_matches_dense(self, r):
+    def test_stacked_matches_dense(self, r):
         """Eigenvalues/objective parity across r, vs the dense solver."""
         rng = np.random.default_rng(r)
         laplacians = random_laplacians(60, r, seed=10 + r)
         fast = SpectralObjective(
-            laplacians, k=3, gamma=0.5, eigen_method="dense", fast_path=True
+            laplacians, k=3, gamma=0.5, eigen_method="dense"
         )
-        legacy = SpectralObjective(
-            laplacians, k=3, gamma=0.5, eigen_method="dense", fast_path=False
+        legacy = LegacyObjective(
+            laplacians, k=3, gamma=0.5, eigen_method="dense"
         )
         for zero_out in range(min(r, 3)):
             weights = random_simplex_weights(r, rng, zero_out=zero_out)
@@ -161,9 +168,7 @@ class TestEigenParity:
     def test_warm_started_lanczos_matches_dense(self):
         """Iterative + warm-start accuracy on a sequence of nearby points."""
         laplacians = random_laplacians(80, 3, seed=21)
-        fast = SpectralObjective(
-            laplacians, k=3, eigen_method="lanczos", fast_path=True
-        )
+        fast = SpectralObjective(laplacians, k=3, eigen_method="lanczos")
         for step in np.linspace(0.0, 1.0, 8):
             weights = np.array([0.2 + 0.6 * step, 0.5 - 0.3 * step, 0.0])
             weights = np.append(weights[:2], 1.0 - weights[:2].sum())
@@ -176,9 +181,7 @@ class TestEigenParity:
     def test_disconnected_view_parity(self):
         """Zero eigenvalue multiplicities survive the fast path."""
         laplacians = random_laplacians(50, 3, seed=31, disconnect_view=0)
-        fast = SpectralObjective(
-            laplacians, k=2, eigen_method="lanczos", fast_path=True
-        )
+        fast = SpectralObjective(laplacians, k=2, eigen_method="lanczos")
         # All weight on the disconnected view: lambda_2 must vanish.
         parts = fast.components([1.0, 0.0, 0.0])
         dense_values = bottom_eigenvalues(
@@ -187,32 +190,17 @@ class TestEigenParity:
         np.testing.assert_allclose(parts.eigenvalues, dense_values, atol=1e-8)
         assert parts.connectivity == pytest.approx(0.0, abs=1e-8)
 
-    def test_matrix_free_operator_parity(self):
-        laplacians = random_laplacians(70, 4, seed=41)
-        fast = SpectralObjective(
-            laplacians,
-            k=2,
-            eigen_method="lanczos",
-            fast_path=True,
-            matrix_free=True,
-        )
-        weights = np.array([0.4, 0.3, 0.2, 0.1])
-        dense_values = bottom_eigenvalues(
-            aggregate_laplacians(laplacians, weights), 3, method="dense"
-        )
-        np.testing.assert_allclose(
-            fast.components(weights).eigenvalues, dense_values, atol=1e-8
-        )
-
     def test_linear_operator_input_to_eigen(self):
+        """Matrix-free operands are refused with a typed error at the
+        stateless and the context-bound entry points alike."""
         laplacian = random_laplacians(45, 1, seed=51)[0]
         operator = spla.aslinearoperator(laplacian)
-        dense = bottom_eigenvalues(laplacian, 4, method="dense")
-        values, vectors = bottom_eigenpairs(operator, 4, method="lanczos")
-        np.testing.assert_allclose(values, dense, atol=1e-8)
-        assert vectors.shape == (45, 4)
-        values_only = bottom_eigenvalues(operator, 4, method="lanczos")
-        np.testing.assert_allclose(values_only, dense, atol=1e-8)
+        with pytest.raises(ReproError, match="LinearOperator"):
+            bottom_eigenpairs(operator, 4, method="lanczos")
+        with pytest.raises(ReproError, match="LinearOperator"):
+            bottom_eigenvalues(operator, 4, method="dense")
+        with pytest.raises(ReproError, match="LinearOperator"):
+            SolverContext(method="lanczos").eigenvalues(operator, 4)
 
 
 class TestEigenvaluesOnlyPath:
@@ -255,8 +243,8 @@ class TestLegacyAggregatePreallocation:
 class TestBatchedSurface:
     def test_surface_matches_pointwise_and_reports_counts(self):
         laplacians = random_laplacians(30, 2, seed=81)
-        fast = SpectralObjective(laplacians, k=2, fast_path=True)
-        legacy = SpectralObjective(laplacians, k=2, fast_path=False)
+        fast = SpectralObjective(laplacians, k=2)
+        legacy = LegacyObjective(laplacians, k=2)
         surface = objective_surface(fast, resolution=0.2)
         reference = objective_surface(legacy, resolution=0.2)
         np.testing.assert_allclose(
@@ -269,7 +257,7 @@ class TestBatchedSurface:
 
     def test_cached_points_are_free(self):
         laplacians = random_laplacians(30, 2, seed=82)
-        objective = SpectralObjective(laplacians, k=2, fast_path=True)
+        objective = SpectralObjective(laplacians, k=2)
         first = objective_surface(objective, resolution=0.25)
         again = objective_surface(objective, resolution=0.25)
         assert first["n_eigensolves"] >= 1
@@ -278,7 +266,7 @@ class TestBatchedSurface:
 
     def test_evaluate_batch_deduplicates(self):
         laplacians = random_laplacians(30, 2, seed=83)
-        objective = SpectralObjective(laplacians, k=2, fast_path=True)
+        objective = SpectralObjective(laplacians, k=2)
         point = np.array([0.5, 0.5])
         components, n_solves = objective.evaluate_batch([point, point, point])
         assert n_solves == 1
@@ -286,8 +274,8 @@ class TestBatchedSurface:
 
     def test_three_view_surface_variants(self):
         laplacians = random_laplacians(24, 3, seed=84)
-        fast = SpectralObjective(laplacians, k=2, fast_path=True)
-        legacy = SpectralObjective(laplacians, k=2, fast_path=False)
+        fast = SpectralObjective(laplacians, k=2)
+        legacy = LegacyObjective(laplacians, k=2)
         for variant in ("full", "eigengap", "connectivity"):
             surface = objective_surface(fast, resolution=0.5, variant=variant)
             reference = objective_surface(
@@ -309,9 +297,11 @@ class TestEndToEndParity:
             seed=91,
         )
 
-    def test_sgla_fast_vs_legacy(self, mvag):
-        fast = SGLA(SGLAConfig(fast_path=True)).fit(mvag)
-        legacy = SGLA(SGLAConfig(fast_path=False)).fit(mvag)
+    def test_sgla_fast_vs_legacy(self, mvag, monkeypatch):
+        fast = SGLA(SGLAConfig()).fit(mvag)
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.core.sgla, "SpectralObjective", LegacyObjective)
+            legacy = SGLA(SGLAConfig()).fit(mvag)
         np.testing.assert_allclose(fast.weights, legacy.weights, atol=1e-8)
         assert fast.objective_value == pytest.approx(
             legacy.objective_value, abs=1e-8
@@ -320,9 +310,13 @@ class TestEndToEndParity:
             to_dense(fast.laplacian), to_dense(legacy.laplacian), atol=1e-10
         )
 
-    def test_sgla_plus_fast_vs_legacy(self, mvag):
-        fast = SGLAPlus(SGLAConfig(fast_path=True)).fit(mvag)
-        legacy = SGLAPlus(SGLAConfig(fast_path=False)).fit(mvag)
+    def test_sgla_plus_fast_vs_legacy(self, mvag, monkeypatch):
+        fast = SGLAPlus(SGLAConfig()).fit(mvag)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                repro.core.sgla_plus, "SpectralObjective", LegacyObjective
+            )
+            legacy = SGLAPlus(SGLAConfig()).fit(mvag)
         np.testing.assert_allclose(fast.weights, legacy.weights, atol=1e-8)
         assert fast.objective_value == pytest.approx(
             legacy.objective_value, abs=1e-8
@@ -340,7 +334,6 @@ class TestWarmStartDeterminism:
                 k=3,
                 eigen_method="lanczos",
                 seed=7,
-                fast_path=True,
                 warm_start=True,
             )
             rng = np.random.default_rng(17)

@@ -49,7 +49,7 @@ class TestMethods:
 
     def test_spectrum_bound_preserved(self, easy_mvag):
         """All weighted integrators output a matrix with spectrum in [0,2]."""
-        from repro.core.eigen import bottom_eigenvalues
+        from repro.solvers import bottom_eigenvalues
 
         for method in ("sgla", "sgla+", "equal"):
             result = integrate(easy_mvag, method=method)

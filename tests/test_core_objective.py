@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.eigen import bottom_eigenvalues
+from repro.solvers import bottom_eigenvalues
 from repro.core.laplacian import normalized_laplacian
 from repro.core.objective import (
     SpectralObjective,

@@ -90,7 +90,7 @@ class TestNetMF:
         matrix (before log-truncation)."""
         adjacency, _ = sbm(n=60, k=2, seed=4)
         n = adjacency.shape[0]
-        from repro.core.eigen import bottom_eigenpairs
+        from repro.solvers import bottom_eigenpairs
         from repro.embedding.netmf import _window_filter
         from repro.utils.sparse import degree_vector
 

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.eigen import bottom_eigenvalues, fiedler_value
+from repro.solvers import bottom_eigenvalues, fiedler_value
 from repro.core.laplacian import aggregate_laplacians, normalized_laplacian
 from repro.core.objective import SpectralObjective
 from repro.datasets.generator import planted_partition_graph

@@ -11,6 +11,7 @@ so queue states are constructed deterministically, not by racing.
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import subprocess
 import sys
@@ -35,7 +36,13 @@ from repro.serve import (
 )
 from repro.serve.daemon import spawn_daemon
 from repro.serve.fleet import FleetManager
-from repro.serve.jobs import DatasetCache, cache_summary, payload_nbytes
+from repro.serve.jobs import (
+    CONFIG_KEYS,
+    DatasetCache,
+    cache_summary,
+    job_config,
+    payload_nbytes,
+)
 from repro.serve.ring import HashRing, route_key
 from repro.serve.router import Router, RouterConfig
 from repro.shard.remote import send_frame
@@ -329,6 +336,20 @@ class TestAbandonment:
         assert isinstance(reply_to_error(reply), ValidationError)
         with pytest.raises(ValidationError):
             client.submit({"kind": "alchemy", "profile": PROFILE})
+
+
+class TestJobConfig:
+    def test_override_keys_are_config_fields(self):
+        """An allowed override that SGLAConfig does not know would reach
+        the client as an internal error instead of a validation reply."""
+        fields = {field.name for field in dataclasses.fields(SGLAConfig)}
+        assert set(CONFIG_KEYS) <= fields
+
+    def test_unknown_override_is_a_validation_error(self):
+        for key in ("n_samples", "no_such_knob"):
+            with pytest.raises(ValidationError, match=key):
+                job_config({"config": {key: 1}})
+        assert job_config({"config": {"t_max": 7}}).t_max == 7
 
 
 # ---------------------------------------------------------------------- #

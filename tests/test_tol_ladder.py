@@ -16,7 +16,7 @@ from repro.datasets.generator import generate_mvag
 from repro.datasets.profiles import load_profile_mvag
 from repro.optim.cobyla import LinearTrustRegion
 from repro.optim.driver import minimize_on_simplex
-from repro.solvers import EigenProblem, SolverContext
+from repro.solvers import SolverContext
 from repro.utils.errors import ValidationError
 
 
@@ -74,16 +74,6 @@ class TestSolverContextTolerance:
         context.eigenvalues(laplacians[1], 3)
         assert context.stats.coarse_solves == 1
         assert "coarse" in context.stats.summary()
-
-    def test_problem_with_tol(self):
-        mvag = generate_mvag(
-            n_nodes=60, n_clusters=2, graph_view_strengths=[0.8], seed=0
-        )
-        laplacian = build_view_laplacians(mvag, knn_k=5)[0]
-        problem = EigenProblem(laplacian, 2, tol=1e-3)
-        retargeted = problem.with_tol(0.0)
-        assert retargeted.tol == 0.0 and problem.tol == 1e-3
-        assert retargeted.operand is problem.operand
 
 
 class TestRhoExposure:
@@ -212,15 +202,6 @@ class TestSGLALadder:
         ).fit(mvag)
         assert ladder.solver_stats.matvecs < fixed.solver_stats.matvecs
         assert ladder.solver_stats.coarse_solves > 0
-
-    def test_chebyshev_ladder_end_to_end(self):
-        mvag = self._mvag()
-        fixed = SGLA(SGLAConfig(seed=0, eigen_backend="chebyshev")).fit(mvag)
-        ladder = SGLA(
-            SGLAConfig(seed=0, eigen_backend="chebyshev", tol_ladder=True)
-        ).fit(mvag)
-        assert np.max(np.abs(fixed.weights - ladder.weights)) < 1e-6
-        assert ladder.solver_stats.matvecs < fixed.solver_stats.matvecs
 
     def test_solver_left_at_full_precision(self):
         """Stages after the optimizer (clustering, embedding) must run
