@@ -10,12 +10,10 @@ from repro.coarsen.base import (
     CoarsenLevel,
     CoarsenStats,
     aggregate_similarity,
-    galerkin_project,
-    prolongation_from_aggregates,
-)
-from repro.coarsen.registry import (
     available_backends,
+    galerkin_project,
     get_backend,
+    prolongation_from_aggregates,
     register_backend,
     unregister_backend,
 )

@@ -26,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.utils.errors import ValidationError
+from repro.utils.registry import Registry
 
 
 @dataclass
@@ -114,6 +115,16 @@ class CoarsenBackend(abc.ABC):
         ``params`` carries backend-specific knobs.  Implementations must
         be deterministic for a fixed ``seed``.
         """
+
+
+#: the coarsening backends (``"heavy-edge"``, ``"landmark"``); adding an
+#: algebraic-multigrid aggregator or a spectral sparsifier is one
+#: :func:`register_backend` call, no call-site changes.
+_BACKENDS: Registry[CoarsenBackend] = Registry("coarsen backend")
+register_backend = _BACKENDS.register
+unregister_backend = _BACKENDS.unregister
+get_backend = _BACKENDS.get
+available_backends = _BACKENDS.available
 
 
 def aggregate_similarity(laplacians: Sequence[sp.spmatrix]) -> sp.csr_matrix:

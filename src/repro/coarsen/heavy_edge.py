@@ -23,8 +23,8 @@ import scipy.sparse as sp
 from repro.coarsen.base import (
     CoarsenBackend,
     aggregate_similarity,
+    register_backend,
 )
-from repro.coarsen.registry import register_backend
 
 #: rounds of matching on the residual unmatched subgraph.
 DEFAULT_ROUNDS = 3

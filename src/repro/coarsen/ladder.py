@@ -43,8 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.coarsen.base import CoarsenStats, galerkin_project
-from repro.coarsen.registry import get_backend
+from repro.coarsen.base import CoarsenStats, galerkin_project, get_backend
 from repro.core.laplacian import aggregate_laplacians
 from repro.core.objective import _EIGENGAP_FLOOR
 from repro.optim.simplex import project_to_simplex

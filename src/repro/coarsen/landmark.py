@@ -27,8 +27,8 @@ from repro.coarsen.base import (
     CoarsenBackend,
     aggregate_similarity,
     prolongation_from_aggregates,
+    register_backend,
 )
-from repro.coarsen.registry import register_backend
 from repro.utils.errors import ValidationError
 from repro.utils.random import check_random_state
 

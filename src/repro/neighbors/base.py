@@ -23,6 +23,8 @@ from typing import Any, Dict, Mapping, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
+from repro.utils.counters import Counters
+
 FeatureMatrix = Union[np.ndarray, sp.spmatrix]
 
 
@@ -47,21 +49,26 @@ def normalize_rows(features: FeatureMatrix) -> FeatureMatrix:
 
 
 @dataclass
-class NeighborStats:
+class NeighborStats(Counters):
     """Counters accumulated across the KNN builds of one run.
 
     The headline number is ``candidate_fraction`` — exact-similarity
     evaluations performed relative to the ``n (n - 1)`` an exhaustive
     search would do — plus a sampled recall estimate for approximate
     backends.  Surfaced by the CLI next to the solver stats line.
+    Sharded view builds fold per-worker stats back in view order with
+    :meth:`merge`.
 
     Attributes
     ----------
     recall_sample:
         Rows brute-forced per approximate build to estimate recall
         (``0`` disables the estimate; the sample costs one
-        ``sample x n`` GEMM).
+        ``sample x n`` GEMM).  A setting, not a counter: merge keeps
+        this object's value.
     """
+
+    SETTINGS = ("recall_sample",)
 
     recall_sample: int = 32
     builds: int = 0
@@ -84,35 +91,6 @@ class NeighborStats:
         """Account one sampled recall measurement (hits out of total)."""
         self.recall_hits += int(hits)
         self.recall_total += int(total)
-
-    def merge(self, other: "NeighborStats") -> "NeighborStats":
-        """Fold ``other``'s counters into this object.
-
-        Sharded view builds accumulate per-worker :class:`NeighborStats`
-        and merge them back in view order, so the aggregate equals what
-        a single-process run would have recorded.  ``recall_sample`` is
-        configuration, not a counter — this object's setting is kept.
-        Aliasing-safe: counters (including the ``by_backend`` map) are
-        snapshotted before any mutation, so ``stats.merge(stats)``
-        doubles cleanly instead of double-counting mid-iteration.
-        """
-        snapshot = (
-            other.builds, other.nodes, other.candidate_pairs,
-            other.exhaustive_pairs, other.recall_hits, other.recall_total,
-            dict(other.by_backend),
-        )
-        self.builds += snapshot[0]
-        self.nodes += snapshot[1]
-        self.candidate_pairs += snapshot[2]
-        self.exhaustive_pairs += snapshot[3]
-        self.recall_hits += snapshot[4]
-        self.recall_total += snapshot[5]
-        for name, count in snapshot[6].items():
-            self.by_backend[name] = self.by_backend.get(name, 0) + count
-        return self
-
-    def __iadd__(self, other: "NeighborStats") -> "NeighborStats":
-        return self.merge(other)
 
     @property
     def candidate_fraction(self) -> float:

@@ -1,4 +1,4 @@
-"""String-keyed neighbor-backend registry and the shared dispatch policy.
+"""The neighbor-backend registry and the shared dispatch policy.
 
 Every KNN-graph build in the repository routes through this registry:
 call sites name a backend (``"exact"``, ``"exact-f32"``, ``"rp-forest"``,
@@ -20,10 +20,10 @@ Dispatch rules:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional
 
 from repro.neighbors.base import NeighborBackend
-from repro.utils.errors import ValidationError
+from repro.utils.registry import Registry
 
 #: "auto" switches from exhaustive search to rp-forest above this size.
 EXACT_CUTOFF = 4096
@@ -31,51 +31,11 @@ EXACT_CUTOFF = 4096
 #: rp-forest needs at least this many nodes to beat brute force.
 RP_FOREST_MIN_N = 512
 
-_REGISTRY: Dict[str, NeighborBackend] = {}
-
-
-def register_backend(
-    backend: NeighborBackend, overwrite: bool = False
-) -> NeighborBackend:
-    """Register ``backend`` under its ``name`` key.
-
-    Raises :class:`ValidationError` for empty names or duplicate
-    registrations unless ``overwrite`` is set (useful for swapping in an
-    instrumented or accelerator-specific implementation).
-    """
-    name = getattr(backend, "name", "")
-    if not name or not isinstance(name, str):
-        raise ValidationError(
-            f"neighbor backend must define a non-empty string name, got {name!r}"
-        )
-    if name in _REGISTRY and not overwrite:
-        raise ValidationError(
-            f"neighbor backend {name!r} is already registered; "
-            "pass overwrite=True to replace it"
-        )
-    _REGISTRY[name] = backend
-    return backend
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend (no-op if absent); used by tests and plugins."""
-    _REGISTRY.pop(name, None)
-
-
-def get_backend(name: str) -> NeighborBackend:
-    """Look up a backend by key; unknown keys list what is available."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown neighbor backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        ) from None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Sorted registry keys."""
-    return tuple(sorted(_REGISTRY))
+_BACKENDS: Registry[NeighborBackend] = Registry("neighbor backend")
+register_backend = _BACKENDS.register
+unregister_backend = _BACKENDS.unregister
+get_backend = _BACKENDS.get
+available_backends = _BACKENDS.available
 
 
 def resolve_backend(

@@ -24,7 +24,7 @@ from typing import Optional
 
 from repro.serve.config import ServeConfig
 from repro.serve.daemon import ServeDaemon
-from repro.shard.remote import DEFAULT_AUTHKEY
+from repro.shard.remote import resolve_authkey
 from repro.utils.errors import ReproError, ValidationError
 
 
@@ -139,13 +139,6 @@ def main(argv: Optional[list] = None) -> int:
              "env var, else the built-in development key)",
     )
     args = parser.parse_args(argv)
-    if args.authkey is not None:
-        authkey = args.authkey.encode("latin-1")
-    elif os.environ.get("REPRO_SHARD_AUTHKEY"):
-        authkey = os.environ["REPRO_SHARD_AUTHKEY"].encode("latin-1")
-    else:
-        authkey = DEFAULT_AUTHKEY
-
     try:
         config = ServeConfig(
             bind=args.bind,
@@ -163,7 +156,7 @@ def main(argv: Optional[list] = None) -> int:
             result_cache=not args.no_result_cache,
             max_results_mb=args.max_results_mb,
             priority_aging=args.priority_aging,
-            authkey=authkey,
+            authkey=resolve_authkey(args.authkey),
         )
         daemon = ServeDaemon(config, shard_factory=_shard_factory(args))
         address = daemon.start()

@@ -1,6 +1,8 @@
 """The serving daemon: sockets, executor threads, lifecycle.
 
-Thread anatomy of one :class:`ServeDaemon`:
+Thread anatomy of one :class:`ServeDaemon` (the accept and connection
+threads are the :class:`~repro.serve.protocol.FrameServer` front it
+shares with the router):
 
 * one **accept** thread hands each TCP connection to a
 * **connection** thread (one per client, cheap: it parses frames,
@@ -34,8 +36,6 @@ import os
 import pickle
 import select
 import socket
-import subprocess
-import sys
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
@@ -48,18 +48,16 @@ from repro.serve.jobs import (
     run_embed,
     run_objective_group,
 )
-from repro.serve.protocol import check_request, error_reply
+from repro.serve.protocol import FrameServer, error_reply
 from repro.serve.queue import AdmissionQueue, RequestEntry
 from repro.serve.results import ResultCache, result_key
 from repro.serve.stats import ServeStats
-from repro.shard.remote import parse_address, recv_frame, send_frame
-from repro.utils.errors import ReproError, ServeError
+from repro.shard.remote import SpawnedProcess, spawn_server
+from repro.utils.errors import ServeError
 
 #: slice used when a connection thread waits on an entry — bounds how
 #: late a deadline reply or a disconnect cleanup can be.
 WAIT_SLICE = 0.05
-#: how long spawn_daemon waits for the ready line.
-SPAWN_TIMEOUT = 60.0
 
 
 def _socket_eof(sock: socket.socket) -> bool:
@@ -75,7 +73,7 @@ def _socket_eof(sock: socket.socket) -> bool:
         return True
 
 
-class ServeDaemon:
+class ServeDaemon(FrameServer):
     """One multi-tenant serving daemon (see module docstring).
 
     Parameters
@@ -90,12 +88,15 @@ class ServeDaemon:
         ``None`` serves everything through the in-process serial path.
     """
 
+    role = "serve"
+
     def __init__(
         self,
         config: Optional[ServeConfig] = None,
         shard_factory: Optional[Callable[[], Any]] = None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
+        super().__init__(self.config.bind, self.config.authkey)
         self.shard_factory = shard_factory
         self.stats = ServeStats()
         self.queue = AdmissionQueue(
@@ -126,14 +127,10 @@ class ServeDaemon:
         self.worker_gate = threading.Event()
         self.worker_gate.set()
         self._parked: set = set()
-        self._listener: Optional[socket.socket] = None
-        self._threads: List[threading.Thread] = []
         self._workers: List[threading.Thread] = []
         self._shards: List[Any] = []
         self._shards_lock = threading.Lock()
-        self._stopping = threading.Event()
         self._drain_requested = threading.Event()
-        self.address: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -141,26 +138,7 @@ class ServeDaemon:
 
     def start(self) -> str:
         """Bind, listen, start threads; returns the actual ``host:port``."""
-        host, port = parse_address(
-            self.config.bind, allow_port_zero=True, what="serve bind"
-        )
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((host, port))
-            listener.listen(128)
-        except OSError:
-            listener.close()
-            raise
-        listener.settimeout(0.2)
-        self._listener = listener
-        bound_host, bound_port = listener.getsockname()[:2]
-        self.address = f"{bound_host}:{bound_port}"
-        accept = threading.Thread(
-            target=self._accept_loop, name="repro-serve-accept", daemon=True
-        )
-        accept.start()
-        self._threads.append(accept)
+        address = self._open_front()
         for index in range(self.config.workers):
             worker = threading.Thread(
                 target=self._worker_loop,
@@ -169,7 +147,7 @@ class ServeDaemon:
             )
             worker.start()
             self._workers.append(worker)
-        return self.address
+        return address
 
     def drain(self) -> None:
         """Stop admitting; in-flight work keeps running (SIGTERM step 1)."""
@@ -188,13 +166,8 @@ class ServeDaemon:
             self.drain()
             grace = self.config.drain_grace if grace is None else grace
             drained = self.queue.wait_idle(timeout=grace)
-        self._stopping.set()
+        self._close_front()
         self.worker_gate.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
         for worker in self._workers:
             worker.join(timeout=5)
         with self._shards_lock:
@@ -205,13 +178,6 @@ class ServeDaemon:
             except Exception:
                 pass
         return drained
-
-    def __enter__(self) -> "ServeDaemon":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop(drain=False)
 
     # ------------------------------------------------------------------ #
     # Health
@@ -262,51 +228,8 @@ class ServeDaemon:
         }
 
     # ------------------------------------------------------------------ #
-    # Accept / connection threads
+    # Requests (answered on the connection threads)
     # ------------------------------------------------------------------ #
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed: shutting down
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="repro-serve-conn",
-                daemon=True,
-            )
-            thread.start()
-
-    def _serve_connection(self, sock: socket.socket) -> None:
-        try:
-            while not self._stopping.is_set():
-                try:
-                    sock.settimeout(None)
-                    message = recv_frame(sock, self.config.authkey)
-                except (ConnectionError, socket.timeout, OSError):
-                    return
-                try:
-                    reply = self._handle(sock, check_request(message))
-                except ReproError as error:
-                    reply = error_reply(error)
-                except Exception as error:  # defensive: never kill the conn
-                    reply = error_reply(error)
-                if reply is None:
-                    return  # client vanished mid-request
-                try:
-                    send_frame(sock, reply, self.config.authkey)
-                except (ConnectionError, OSError):
-                    return
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
 
     def _handle(
         self, sock: socket.socket, message: Dict[str, Any]
@@ -507,84 +430,17 @@ class ServeDaemon:
 # Subprocess helper (tests, benchmarks, examples)
 # ---------------------------------------------------------------------- #
 
-class SpawnedDaemon:
-    """A daemon subprocess owned by this process (mirrors _SpawnedWorker)."""
-
-    def __init__(self, process: subprocess.Popen, address: str) -> None:
-        self.process = process
-        self.address = address
-
-    def alive(self) -> bool:
-        return self.process.poll() is None
-
-    def terminate(self) -> None:
-        """Send SIGTERM (the graceful-drain signal)."""
-        if self.alive():
-            self.process.terminate()
-
-    def wait(self, timeout: float = 30.0) -> Optional[int]:
-        try:
-            return self.process.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            return None
-
-    def kill(self) -> None:
-        if self.alive():
-            try:
-                self.process.kill()
-            except OSError:
-                pass
-        try:
-            self.process.wait(timeout=5)
-        except Exception:
-            pass
-        for stream in (self.process.stdout, self.process.stderr):
-            if stream is not None:
-                try:
-                    stream.close()
-                except OSError:
-                    pass
-
-
 def spawn_daemon(
     argv_extra: Optional[List[str]] = None,
     bind_host: str = "127.0.0.1",
     capture_stderr: bool = False,
-) -> SpawnedDaemon:
-    """Start ``python -m repro.serve`` and wait for its ready line.
-
-    The daemon binds port 0 and announces
-    ``REPRO-SERVE-READY host port pid`` on stdout (the
-    ``SHARD-WORKER-READY`` convention); we block on that line instead of
-    polling the port.
-    """
-    import repro
-
-    env = dict(os.environ)
-    package_root = str(os.path.dirname(os.path.dirname(repro.__file__)))
-    entries = [package_root] + [p for p in sys.path if p]
-    existing = env.get("PYTHONPATH", "")
-    if existing:
-        entries.append(existing)
-    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(entries))
-    argv = [
-        sys.executable, "-m", "repro.serve", "--bind", f"{bind_host}:0",
-    ] + list(argv_extra or [])
-    process = subprocess.Popen(
-        argv,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE if capture_stderr else subprocess.DEVNULL,
-        text=True,
+) -> SpawnedProcess:
+    """Start ``python -m repro.serve`` on a free port; returns once the
+    daemon prints its ``REPRO-SERVE-READY host port pid`` line."""
+    return spawn_server(
+        "repro.serve",
+        ["--bind", f"{bind_host}:0", *(argv_extra or [])],
+        "REPRO-SERVE-READY",
+        ServeError,
+        capture_stderr=capture_stderr,
     )
-    started = time.monotonic()
-    line = process.stdout.readline() if process.stdout else ""
-    if not line.startswith("REPRO-SERVE-READY"):
-        process.kill()
-        raise ServeError(
-            f"serve daemon failed to start (output: {line!r}, "
-            f"exit={process.poll()}, waited "
-            f"{time.monotonic() - started:.1f}s)"
-        )
-    _, host, port, _pid = line.split()
-    return SpawnedDaemon(process, f"{host}:{port}")

@@ -16,13 +16,10 @@ to a fleet, with the same ready-line handshake the daemons use.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-import time
 from typing import List, Optional, Sequence
 
-from repro.serve.daemon import SpawnedDaemon, spawn_daemon
+from repro.serve.daemon import spawn_daemon
+from repro.shard.remote import SpawnedProcess, spawn_server
 from repro.utils.errors import ServeError, ValidationError
 
 
@@ -59,7 +56,7 @@ class FleetManager:
         self.argv_extra = list(argv_extra or [])
         self.respawn = bool(respawn)
         self.capture_stderr = bool(capture_stderr)
-        self._daemons: List[SpawnedDaemon] = []
+        self._daemons: List[SpawnedProcess] = []
         self._started = False
 
     # ------------------------------------------------------------------ #
@@ -82,7 +79,7 @@ class FleetManager:
             capture_stderr=self.capture_stderr,
         ))
 
-    def _forget(self, daemon: SpawnedDaemon) -> None:
+    def _forget(self, daemon: SpawnedProcess) -> None:
         daemon.kill()
         self._daemons.remove(daemon)
 
@@ -92,7 +89,7 @@ class FleetManager:
         """Current member addresses (ring node set), spawn order."""
         return [daemon.address for daemon in self._daemons]
 
-    def daemon(self, address: str) -> SpawnedDaemon:
+    def daemon(self, address: str) -> SpawnedProcess:
         for daemon in self._daemons:
             if daemon.address == address:
                 return daemon
@@ -136,53 +133,21 @@ class FleetManager:
         self.close()
 
 
-# ---------------------------------------------------------------------- #
-# Router subprocess helper
-# ---------------------------------------------------------------------- #
-
-class SpawnedRouter(SpawnedDaemon):
-    """A router subprocess owned by this process (same lifecycle as
-    :class:`~repro.serve.daemon.SpawnedDaemon`: terminate = graceful
-    drain, kill = chaos)."""
-
-
 def spawn_router(
     daemons: Sequence[str],
     argv_extra: Optional[Sequence[str]] = None,
     bind_host: str = "127.0.0.1",
     capture_stderr: bool = False,
-) -> SpawnedRouter:
-    """Start ``python -m repro.serve.router`` over ``daemons`` and wait
-    for its ``REPRO-ROUTER-READY host port pid`` line."""
-    import repro
-
-    env = dict(os.environ)
-    package_root = str(os.path.dirname(os.path.dirname(repro.__file__)))
-    entries = [package_root] + [p for p in sys.path if p]
-    existing = env.get("PYTHONPATH", "")
-    if existing:
-        entries.append(existing)
-    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(entries))
-    argv = [
-        sys.executable, "-m", "repro.serve.router",
-        "--bind", f"{bind_host}:0",
-        "--daemons", ",".join(daemons),
-    ] + list(argv_extra or [])
-    process = subprocess.Popen(
-        argv,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE if capture_stderr else subprocess.DEVNULL,
-        text=True,
+) -> SpawnedProcess:
+    """Start ``python -m repro.serve.router`` over ``daemons``; returns
+    once it prints its ``REPRO-ROUTER-READY host port pid`` line."""
+    return spawn_server(
+        "repro.serve.router",
+        [
+            "--bind", f"{bind_host}:0", "--daemons", ",".join(daemons),
+            *(argv_extra or []),
+        ],
+        "REPRO-ROUTER-READY",
+        ServeError,
+        capture_stderr=capture_stderr,
     )
-    started = time.monotonic()
-    line = process.stdout.readline() if process.stdout else ""
-    if not line.startswith("REPRO-ROUTER-READY"):
-        process.kill()
-        raise ServeError(
-            f"router failed to start (output: {line!r}, "
-            f"exit={process.poll()}, waited "
-            f"{time.monotonic() - started:.1f}s)"
-        )
-    _, host, port, _pid = line.split()
-    return SpawnedRouter(process, f"{host}:{port}")

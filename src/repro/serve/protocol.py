@@ -24,13 +24,19 @@ Errors cross the wire as structured ``(kind, message, fields)`` triples
 — never pickled exception objects — so a client can't be handed an
 arbitrary class to unpickle, and :func:`reply_to_error` rebuilds the
 typed exception from the ``kind`` tag on the other side.
+
+:class:`FrameServer` is the threaded TCP front that speaks this schema
+for both the serving daemon and the router.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+import socket
+import threading
+from typing import Any, Dict, Optional, Set
 
 from repro.serve.stats import PRIORITIES
+from repro.shard.remote import parse_address, recv_frame, send_frame
 from repro.utils.errors import (
     DeadlineExceeded,
     NoHealthyReplica,
@@ -134,3 +140,136 @@ def check_request(message: Any) -> Dict[str, Any]:
                 f"(expected one of {PRIORITIES})"
             )
     return message
+
+
+class FrameServer:
+    """Threaded framed-TCP front shared by the daemon and the router.
+
+    One accept thread hands each connection to its own thread, which
+    loops ``recv_frame`` -> :meth:`_handle` -> ``send_frame``.  A
+    subclass implements :meth:`_handle` plus its lifecycle, ``start()``
+    and ``stop(drain=...)``, built on :meth:`_open_front` and
+    :meth:`_close_front`; ``with`` starts it and stops it undrained.
+    """
+
+    #: names the threads and the bind errors (``"serve"``, ``"router"``).
+    role = "frame"
+
+    def __init__(self, bind: str, authkey: bytes) -> None:
+        self._bind = bind
+        self._authkey = authkey
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        self._stopping = threading.Event()
+        self.address: Optional[str] = None
+
+    def __enter__(self) -> "FrameServer":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop(drain=False)
+
+    def _open_front(self) -> str:
+        """Bind, listen, start accepting; returns the actual ``host:port``."""
+        host, port = parse_address(
+            self._bind, allow_port_zero=True, what=f"{self.role} bind"
+        )
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((host, port))
+            listener.listen(128)
+        except OSError:
+            listener.close()
+            raise
+        listener.settimeout(0.2)
+        self._listener = listener
+        bound_host, bound_port = listener.getsockname()[:2]
+        self.address = f"{bound_host}:{bound_port}"
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop,
+            name=f"repro-{self.role}-accept",
+            daemon=True,
+        )
+        self._accept_thread.start()
+        return self.address
+
+    def _close_front(self) -> None:
+        """Stop listening and answering, in an order that leaves no gap.
+
+        The accept thread is joined first: its in-flight ``poll`` keeps
+        the listening socket alive past ``close()``, so a connect made
+        in that window would be accepted into the backlog and then
+        reset instead of refused.  Then the listener closes, and every
+        accepted connection is shut down, so a request sent on a
+        connection opened before the stop fails at once instead of
+        waiting out its deadline.
+        """
+        self._stopping.set()
+        if self._accept_thread is not None:
+            self._accept_thread.join()
+        if self._listener is not None:
+            try:
+                self._listener.close()
+            except OSError:
+                pass
+        with self._connections_lock:
+            connections = list(self._connections)
+        for conn in connections:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+    def _accept_loop(self) -> None:
+        while not self._stopping.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._connections_lock:
+                self._connections.add(conn)
+            threading.Thread(
+                target=self._serve_connection,
+                args=(conn,),
+                name=f"repro-{self.role}-conn",
+                daemon=True,
+            ).start()
+
+    def _serve_connection(self, sock: socket.socket) -> None:
+        try:
+            while not self._stopping.is_set():
+                try:
+                    sock.settimeout(None)
+                    message = recv_frame(sock, self._authkey)
+                except (ConnectionError, socket.timeout, OSError):
+                    return
+                try:
+                    reply = self._handle(sock, check_request(message))
+                except Exception as error:  # never kill the connection
+                    reply = error_reply(error)
+                if reply is None:
+                    return  # client vanished mid-request
+                try:
+                    send_frame(sock, reply, self._authkey)
+                except (ConnectionError, OSError):
+                    return
+        finally:
+            with self._connections_lock:
+                self._connections.discard(sock)
+            try:
+                sock.close()
+            except OSError:
+                pass
+
+    def _handle(
+        self, sock: socket.socket, message: Dict[str, Any]
+    ) -> Optional[Dict[str, Any]]:
+        """One checked request -> its reply (``None``: drop the client)."""
+        raise NotImplementedError

@@ -122,6 +122,15 @@ class ResultCache:
         Entry-count bound, a backstop against millions of tiny results.
     """
 
+    #: the empty :meth:`snapshot`: the router folds its daemons' wire
+    #: snapshots into it with ``merge_snapshots``, so the fleet hit
+    #: rate is ``hits / (hits + misses)`` over the summed counters.
+    ZERO_SNAPSHOT = {
+        "enabled": False,
+        "hits": 0, "misses": 0, "evictions": 0, "insertions": 0,
+        "skipped_oversize": 0, "entries": 0, "bytes": 0, "max_bytes": 0,
+    }
+
     def __init__(
         self, max_bytes: Optional[int] = None, capacity: int = 4096
     ) -> None:
@@ -220,29 +229,3 @@ def results_summary(snap: Dict[str, Any]) -> str:
         f"{snap['entries']} entries "
         f"({snap['bytes'] / 1048576.0:.1f}MB{budget})"
     )
-
-
-def merge_results_snapshots(snaps) -> Dict[str, Any]:
-    """Fold per-daemon result-cache snapshots into one fleet picture.
-
-    Counters and sizes sum (they are per-daemon disjoint); ``enabled``
-    is true when any daemon caches — the fleet hit rate the router's
-    ``serve-stats`` view reports is ``hits / (hits + misses)`` over the
-    summed counters.
-    """
-    merged = {
-        "enabled": False,
-        "hits": 0, "misses": 0, "evictions": 0, "insertions": 0,
-        "skipped_oversize": 0, "entries": 0, "bytes": 0, "max_bytes": 0,
-    }
-    for snap in snaps:
-        if not snap or not snap.get("enabled"):
-            continue
-        merged["enabled"] = True
-        for name in (
-            "hits", "misses", "evictions", "insertions",
-            "skipped_oversize", "entries", "bytes",
-        ):
-            merged[name] += int(snap.get(name, 0) or 0)
-        merged["max_bytes"] += int(snap.get("max_bytes", 0) or 0)
-    return merged

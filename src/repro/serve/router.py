@@ -34,7 +34,7 @@ Robustness machinery, per daemon:
   probe turns into a cancellation — hedges bound tail latency without
   doubling work on the happy path.
 
-Every decision is counted in a mergeable :class:`RouteStats`
+Every decision is counted in a :class:`RouteStats`
 (failovers, hedges, breaker transitions, per-daemon outcomes), and the
 router's ``health`` op aggregates the whole fleet — queue depths,
 breaker states, per-daemon stats — which ``repro.cli serve-stats``
@@ -54,12 +54,13 @@ import socket
 import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.serve.client import REPLY_GRACE
 from repro.serve.config import RouterConfig
-from repro.serve.protocol import check_request, error_reply, reply_to_error
-from repro.serve.results import merge_results_snapshots
+from repro.serve.protocol import FrameServer, reply_to_error
+from repro.serve.results import ResultCache
 from repro.serve.ring import HashRing, route_key
 from repro.serve.stats import ServeStats, percentile
 from repro.shard.remote import (
@@ -68,8 +69,10 @@ from repro.shard.remote import (
     FrameError,
     parse_address,
     recv_frame,
+    resolve_authkey,
     send_frame,
 )
+from repro.utils.counters import merge_snapshots
 from repro.utils.errors import (
     DeadlineExceeded,
     NoHealthyReplica,
@@ -78,7 +81,6 @@ from repro.utils.errors import (
     ServerDraining,
     ServerOverloaded,
     ShardError,
-    ValidationError,
 )
 
 #: job kinds safe to re-dispatch (deterministic, read-only pipelines);
@@ -108,12 +110,11 @@ _DAEMON_COUNTERS = ("routed", "completed", "failed", "cancelled_hedges")
 
 
 class RouteStats:
-    """Mergeable routing counters (the ``route:`` line's backing store).
+    """Routing counters (the ``route:`` line's backing store).
 
-    Same conventions as ``SolverStats`` / ``ShardStats`` /
-    ``ServeStats``: every counter observable end to end, ``merge`` /
-    ``__iadd__`` aliasing-safe so multi-router deployments can fold
-    their stats into one picture, a one-line ``summary()``.
+    Same conventions as ``ServeStats``: thread-safe counters observable
+    end to end, a wire :meth:`snapshot`, a one-line ``summary()``, and a
+    bounded dispatch-latency reservoir (the hedging quantile's input).
     """
 
     def __init__(self) -> None:
@@ -121,7 +122,7 @@ class RouteStats:
         for name in _COUNTERS:
             setattr(self, name, 0)
         self._daemons: Dict[str, Dict[str, int]] = {}
-        self._latencies: List[float] = []
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_SAMPLES)
 
     def bump(self, counter: str, by: int = 1) -> None:
         if counter not in _COUNTERS:
@@ -141,54 +142,12 @@ class RouteStats:
     def observe_latency(self, seconds: float) -> None:
         with self._lock:
             self._latencies.append(float(seconds))
-            if len(self._latencies) > LATENCY_SAMPLES:
-                del self._latencies[: -LATENCY_SAMPLES]
 
     def latency_quantile(self, q: float) -> Tuple[float, int]:
         """``(value, sample_count)`` of the ``q`` in (0,1) quantile."""
         with self._lock:
             samples = list(self._latencies)
         return percentile(samples, q * 100.0), len(samples)
-
-    # ------------------------------------------------------------------ #
-
-    def merge(self, other: "RouteStats") -> "RouteStats":
-        """Fold ``other`` into ``self`` (aliasing-safe; returns self)."""
-        if other is self:
-            with self._lock:
-                for name in _COUNTERS:
-                    setattr(self, name, 2 * getattr(self, name))
-                for per in self._daemons.values():
-                    for name in _DAEMON_COUNTERS:
-                        per[name] *= 2
-                self._latencies.extend(list(self._latencies))
-                if len(self._latencies) > LATENCY_SAMPLES:
-                    del self._latencies[: -LATENCY_SAMPLES]
-            return self
-        with other._lock:
-            counters = {
-                name: getattr(other, name) for name in _COUNTERS
-            }
-            daemons = {
-                address: dict(per) for address, per in other._daemons.items()
-            }
-            latencies = list(other._latencies)
-        with self._lock:
-            for name, value in counters.items():
-                setattr(self, name, getattr(self, name) + value)
-            for address, per in daemons.items():
-                mine = self._daemons.setdefault(
-                    address, {name: 0 for name in _DAEMON_COUNTERS}
-                )
-                for name, value in per.items():
-                    mine[name] += value
-            self._latencies.extend(latencies)
-            if len(self._latencies) > LATENCY_SAMPLES:
-                del self._latencies[: -LATENCY_SAMPLES]
-        return self
-
-    def __iadd__(self, other: "RouteStats") -> "RouteStats":
-        return self.merge(other)
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -536,8 +495,6 @@ class Router:
             if monitor is not None:
                 _Endpoint.discard(monitor)
             self._monitors[address] = None
-            if health.alive:
-                self.stats.bump("skipped_unhealthy", 0)  # touch for merge
             health.alive = False
             health.error = f"{type(error).__name__}: {error}"
             health.snapshot = None
@@ -1023,19 +980,18 @@ class Router:
             },
             "daemons": daemons,
             "route_stats": self.stats.snapshot(),
-            "stats": ServeStats.merge_snapshots(
-                [snap["stats"] for snap in snapshots if "stats" in snap]
+            "stats": merge_snapshots(
+                [snap.get("stats") for snap in snapshots],
+                ServeStats.ZERO_SNAPSHOT,
             ),
-            # Fleet-aggregated result-cache counters: hits/misses sum
-            # across daemons, so the serve-stats view shows one fleet
-            # hit rate for repeat traffic.
-            "results": merge_results_snapshots(
-                [snap.get("results") for snap in snapshots]
+            "results": merge_snapshots(
+                [snap.get("results") for snap in snapshots],
+                ResultCache.ZERO_SNAPSHOT,
             ),
         }
 
 
-class RouterDaemon:
+class RouterDaemon(FrameServer):
     """TCP front of a :class:`Router`: same wire protocol as a daemon.
 
     One accept thread, one connection thread per client; submits are
@@ -1044,37 +1000,17 @@ class RouterDaemon:
     decisions stay where the capacity is known).
     """
 
+    role = "router"
+
     def __init__(self, config: RouterConfig) -> None:
+        super().__init__(config.bind, config.authkey)
         self.config = config
         self.router = Router(config)
-        self._listener: Optional[socket.socket] = None
-        self._stopping = threading.Event()
-        self.address: Optional[str] = None
-
-    # ------------------------------------------------------------------ #
 
     def start(self) -> str:
-        host, port = parse_address(
-            self.config.bind, allow_port_zero=True, what="router bind"
-        )
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((host, port))
-            listener.listen(128)
-        except OSError:
-            listener.close()
-            raise
-        listener.settimeout(0.2)
-        self._listener = listener
-        bound_host, bound_port = listener.getsockname()[:2]
-        self.address = f"{bound_host}:{bound_port}"
+        address = self._open_front()
         self.router.start()
-        thread = threading.Thread(
-            target=self._accept_loop, name="repro-router-accept", daemon=True
-        )
-        thread.start()
-        return self.address
+        return address
 
     def drain(self) -> None:
         self.router.drain()
@@ -1084,66 +1020,13 @@ class RouterDaemon:
         if drain:
             self.router.drain()
             drained = self.router.wait_idle(timeout=grace)
-        self._stopping.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._close_front()
         self.router.close()
         return drained
 
-    def __enter__(self) -> "RouterDaemon":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop(drain=False)
-
-    # ------------------------------------------------------------------ #
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="repro-router-conn",
-                daemon=True,
-            )
-            thread.start()
-
-    def _serve_connection(self, sock: socket.socket) -> None:
-        try:
-            while not self._stopping.is_set():
-                try:
-                    sock.settimeout(None)
-                    message = recv_frame(sock, self.config.authkey)
-                except (ConnectionError, socket.timeout, OSError):
-                    return
-                try:
-                    reply = self._handle(check_request(message))
-                except ReproError as error:
-                    reply = error_reply(error)
-                except Exception as error:  # defensive
-                    reply = error_reply(error)
-                try:
-                    send_frame(sock, reply, self.config.authkey)
-                except (ConnectionError, OSError):
-                    return
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def _handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle(
+        self, sock: socket.socket, message: Dict[str, Any]
+    ) -> Dict[str, Any]:
         op = message["op"]
         if op == "ping":
             return {"ok": True, "pid": os.getpid(), "router": True}
@@ -1215,15 +1098,6 @@ def main(argv: Optional[list] = None) -> int:
              "env var, else the built-in development key)",
     )
     args = parser.parse_args(argv)
-    from repro.shard.remote import DEFAULT_AUTHKEY
-
-    if args.authkey is not None:
-        authkey = args.authkey.encode("latin-1")
-    elif os.environ.get("REPRO_SHARD_AUTHKEY"):
-        authkey = os.environ["REPRO_SHARD_AUTHKEY"].encode("latin-1")
-    else:
-        authkey = DEFAULT_AUTHKEY
-
     try:
         config = RouterConfig(
             daemons=_parse_daemons(args.daemons),
@@ -1237,7 +1111,7 @@ def main(argv: Optional[list] = None) -> int:
             hedge_delay=args.hedge_delay,
             hedge_quantile=args.hedge_quantile,
             default_deadline=args.default_deadline,
-            authkey=authkey,
+            authkey=resolve_authkey(args.authkey),
         )
         daemon = RouterDaemon(config)
         address = daemon.start()

@@ -26,6 +26,7 @@ _COUNTERS = (
     "rejected_overload", "rejected_quota", "rejected_draining",
     "deadline_expired", "cancelled", "batched", "result_hits",
 )
+_WAITS = ("queue_wait_p50_ms", "queue_wait_p99_ms")
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -66,6 +67,17 @@ class ServeStats:
     connection threads, queue internals, and executor threads alike);
     reads take a consistent snapshot.
     """
+
+    #: the empty :meth:`snapshot`: the router folds its daemons' wire
+    #: snapshots into it with ``merge_snapshots`` for the fleet view.
+    ZERO_SNAPSHOT = {
+        "totals": dict.fromkeys(_COUNTERS, 0) | dict.fromkeys(_WAITS, 0.0),
+        "tenants": {},
+        "priorities": {
+            name: {"served": 0} | dict.fromkeys(_WAITS, 0.0)
+            for name in PRIORITIES
+        },
+    }
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -151,62 +163,6 @@ class ServeStats:
     def summary(self) -> str:
         """The one-line ``serve:`` digest (CLI and shutdown log)."""
         return self.summary_from_snapshot(self.snapshot())
-
-    @staticmethod
-    def merge_snapshots(snaps: Sequence[dict]) -> dict:
-        """Fold several daemons' wire snapshots into one fleet picture.
-
-        Counters sum; percentile keys take the fleet-wide maximum (a
-        sum of percentiles means nothing, and the max is the honest
-        tail bound an operator cares about).  Missing counter keys
-        (older daemons on the wire) and missing sections read as zero,
-        so a mixed-version fleet still aggregates.  The result has the
-        same shape as :meth:`snapshot`, so :meth:`summary_from_snapshot`
-        renders it unchanged — this is what backs the router's
-        aggregated ``serve-stats`` view.
-        """
-        percentile_keys = ("queue_wait_p50_ms", "queue_wait_p99_ms")
-        totals = {name: 0 for name in _COUNTERS}
-        totals.update({name: 0.0 for name in percentile_keys})
-        tenants: Dict[str, dict] = {}
-        priorities: Dict[str, dict] = {
-            name: {"served": 0} | {key: 0.0 for key in percentile_keys}
-            for name in PRIORITIES
-        }
-        for snap in snaps:
-            snap_totals = snap.get("totals", {})
-            for name in _COUNTERS:
-                totals[name] += int(snap_totals.get(name, 0))
-            for name in percentile_keys:
-                totals[name] = max(
-                    totals[name], float(snap_totals.get(name, 0.0))
-                )
-            for tenant, payload in snap.get("tenants", {}).items():
-                merged = tenants.setdefault(
-                    tenant,
-                    {name: 0 for name in _COUNTERS}
-                    | {name: 0.0 for name in percentile_keys},
-                )
-                for name in _COUNTERS:
-                    merged[name] += int(payload.get(name, 0))
-                for name in percentile_keys:
-                    merged[name] = max(
-                        merged[name], float(payload.get(name, 0.0))
-                    )
-            for name, payload in (snap.get("priorities") or {}).items():
-                merged = priorities.setdefault(
-                    name, {"served": 0} | {k: 0.0 for k in percentile_keys}
-                )
-                merged["served"] += int(payload.get("served", 0))
-                for key in percentile_keys:
-                    merged[key] = max(
-                        merged[key], float(payload.get(key, 0.0))
-                    )
-        return {
-            "totals": totals,
-            "tenants": dict(sorted(tenants.items())),
-            "priorities": priorities,
-        }
 
     @staticmethod
     def summary_from_snapshot(snap: dict) -> str:

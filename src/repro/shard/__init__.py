@@ -14,7 +14,7 @@ string-keyed registry pattern as :mod:`repro.solvers` and
 * backends ``"process"`` / ``"serial"`` (:mod:`repro.shard.backends`)
   and the distributed ``"remote"`` backend (:mod:`repro.shard.remote`,
   TCP worker hosts started via ``python -m repro.shard.worker``),
-  registered in :mod:`repro.shard.registry`;
+  registered in the :mod:`repro.shard.base` registry;
 * the resilience layer (:mod:`repro.shard.resilience`, DESIGN.md §11):
   :class:`RetryPolicy` + :class:`FailureDirector` giving every dispatch
   retries with seeded-jitter backoff, re-dispatch of failed shards onto
@@ -42,7 +42,15 @@ from repro.shard.api import (
     shard_objective_batch,
     shard_view_laplacians,
 )
-from repro.shard.base import ShardBackend, ShardStats, run_shard_items
+from repro.shard.base import (
+    ShardBackend,
+    ShardStats,
+    available_backends,
+    get_backend,
+    register_backend,
+    run_shard_items,
+    unregister_backend,
+)
 from repro.shard.backends import ProcessShardBackend, SerialShardBackend
 from repro.shard.context import (
     MIN_SHARD_BYTES,
@@ -58,12 +66,6 @@ from repro.shard.faults import (
     plan_from_dict,
 )
 from repro.shard.plan import ShardPlan
-from repro.shard.registry import (
-    available_backends,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
 from repro.shard.remote import RemoteShardBackend, WorkerFleet
 from repro.shard.resilience import (
     LADDER,

@@ -32,12 +32,16 @@ import pickle
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.shard.base import ShardBackend, TaskFunc, run_shard_items
+from repro.shard.base import (
+    ShardBackend,
+    TaskFunc,
+    register_backend,
+    run_shard_items,
+)
 from repro.shard.faults import FaultInjected
 from repro.shard.plan import ShardPlan
-from repro.shard.registry import register_backend
 from repro.utils.errors import ReproError, ShardError
 
 

@@ -8,10 +8,10 @@ reassembly — is shared by :class:`repro.shard.context.ShardContext`, so
 backends only implement dispatch.
 
 The design mirrors ``repro.solvers`` and ``repro.neighbors``: a
-string-keyed registry (:mod:`repro.shard.registry`), a shared execution
-context threaded through call sites, and a :class:`ShardStats` counter
-object observable end to end (the CLI prints it next to the solver and
-neighbor stats lines).
+string-keyed registry (:func:`register_backend` below), a shared
+execution context threaded through call sites, and a
+:class:`ShardStats` counter object observable end to end (the CLI
+prints it next to the solver and neighbor stats lines).
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from repro.shard.plan import ShardPlan
+from repro.utils.counters import Counters
+from repro.utils.registry import Registry
 
 #: a task function: ``(item, common) -> result``; must be module-level
 #: (picklable by reference) so the process backend can ship it.
@@ -28,7 +30,7 @@ TaskFunc = Callable[[Any, Optional[dict]], Any]
 
 
 @dataclass
-class ShardStats:
+class ShardStats(Counters):
     """Counters accumulated across the dispatches of one shard context.
 
     The headline split is ``dispatches`` (multi-process fan-outs) vs
@@ -53,24 +55,6 @@ class ShardStats:
     redispatches: int = 0
     degradations: int = 0
     workers_quarantined: int = 0
-
-    _FIELDS = (
-        "dispatches", "serial_dispatches", "tasks", "shards_used",
-        "segments", "bytes_shared", "failures", "retries",
-        "redispatches", "degradations", "workers_quarantined",
-    )
-
-    def merge(self, other: "ShardStats") -> "ShardStats":
-        """Fold ``other``'s counters into this object (aliasing-safe)."""
-        # Snapshot first so merging an object into itself doubles cleanly
-        # instead of reading half-updated fields.
-        snapshot = tuple(getattr(other, name) for name in self._FIELDS)
-        for name, value in zip(self._FIELDS, snapshot):
-            setattr(self, name, getattr(self, name) + value)
-        return self
-
-    def __iadd__(self, other: "ShardStats") -> "ShardStats":
-        return self.merge(other)
 
     def summary(self) -> str:
         """One-line human-readable digest (used by the CLI)."""
@@ -165,6 +149,16 @@ class ShardBackend(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
+
+
+#: the dispatch strategies (``"process"``, ``"serial"``, ``"remote"``);
+#: adding an MPI bridge or an accelerator-host dispatcher is one
+#: :func:`register_backend` call, no call-site changes.
+_BACKENDS: Registry[ShardBackend] = Registry("shard backend")
+register_backend = _BACKENDS.register
+unregister_backend = _BACKENDS.unregister
+get_backend = _BACKENDS.get
+available_backends = _BACKENDS.available
 
 
 def run_shard_items(

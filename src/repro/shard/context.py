@@ -38,10 +38,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.shard.base import ShardStats, TaskFunc
+from repro.shard.base import ShardStats, TaskFunc, get_backend
 from repro.shard.faults import FaultPlan
 from repro.shard.plan import ShardPlan
-from repro.shard.registry import get_backend
 from repro.shard.resilience import FailureDirector, RetryPolicy
 from repro.shard.shm import ArraySpec, create_segment, inline_spec
 from repro.utils.errors import ValidationError

@@ -43,11 +43,10 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.shard.base import ShardBackend, TaskFunc
+from repro.shard.base import ShardBackend, TaskFunc, register_backend
 from repro.shard.plan import ShardPlan
-from repro.shard.registry import register_backend
 from repro.utils.errors import ReproError, ShardError, ValidationError
 
 MAGIC = b"RSF1"
@@ -55,8 +54,6 @@ _HEADER = struct.Struct(">8s")  # length only; magic/digest handled apart
 DIGEST_SIZE = 16
 DEFAULT_AUTHKEY = b"repro-shard"
 
-#: how long to wait for a spawned worker to print its ready line.
-SPAWN_TIMEOUT = 60.0
 #: connect timeout for the TCP handshake.
 CONNECT_TIMEOUT = 10.0
 
@@ -280,8 +277,22 @@ class WorkerClient:
                 pass
 
 
-class _SpawnedWorker:
-    """A worker subprocess this fleet owns (spawn, watch, respawn)."""
+def resolve_authkey(flag: Optional[str]) -> bytes:
+    """The frame key a server entry point runs with.
+
+    The ``--authkey`` flag wins, then the ``REPRO_SHARD_AUTHKEY``
+    environment variable (how :func:`spawn_server` hands a key to its
+    child without putting it on the command line), then the built-in
+    development key.
+    """
+    if flag is not None:
+        return flag.encode("latin-1")
+    env = os.environ.get("REPRO_SHARD_AUTHKEY")
+    return env.encode("latin-1") if env else DEFAULT_AUTHKEY
+
+
+class SpawnedProcess:
+    """A server subprocess owned by this process (spawn, watch, stop)."""
 
     def __init__(self, process: subprocess.Popen, address: str) -> None:
         self.process = process
@@ -290,34 +301,49 @@ class _SpawnedWorker:
     def alive(self) -> bool:
         return self.process.poll() is None
 
+    def terminate(self) -> None:
+        """Send SIGTERM (the graceful-drain signal)."""
+        if self.alive():
+            self.process.terminate()
+
+    def wait(self, timeout: float = 30.0) -> Optional[int]:
+        """The exit code, or ``None`` if still running after ``timeout``."""
+        try:
+            return self.process.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return None
+
     def kill(self) -> None:
+        """SIGKILL (if still running), reap, and close the pipes."""
         if self.alive():
             try:
                 self.process.kill()
-            except Exception:
+            except OSError:
                 pass
-        try:
-            self.process.wait(timeout=5)
-        except Exception:
-            pass
-        if self.process.stdout is not None:
-            try:
-                self.process.stdout.close()
-            except Exception:
-                pass
+        self.wait(timeout=5)
+        for stream in (self.process.stdout, self.process.stderr):
+            if stream is not None:
+                try:
+                    stream.close()
+                except OSError:
+                    pass
 
 
-def spawn_worker(
-    max_tasks: int = 0,
-    authkey: bytes = DEFAULT_AUTHKEY,
-    bind_host: str = "127.0.0.1",
-) -> _SpawnedWorker:
-    """Start ``python -m repro.shard.worker`` and wait for its address.
+def spawn_server(
+    module: str,
+    argv: Sequence[str],
+    ready_tag: str,
+    error: type,
+    capture_stderr: bool = False,
+    authkey: Optional[bytes] = None,
+) -> SpawnedProcess:
+    """Start ``python -m module *argv`` and wait for its ready line.
 
-    The worker binds port 0 (kernel-assigned) and announces
-    ``SHARD-WORKER-READY host port pid`` on stdout; we block on that
-    line (bounded by the interpreter's import time) instead of polling
-    the port.
+    Every server entry point binds (port 0 picks a free port) and then
+    prints ``<ready_tag> host port pid`` on stdout; blocking on that
+    line beats polling the port.  Anything else raises ``error`` with
+    what the child printed.  ``authkey`` reaches the child through
+    ``REPRO_SHARD_AUTHKEY`` (see :func:`resolve_authkey`).
     """
     import repro
 
@@ -325,38 +351,48 @@ def spawn_worker(
     # Propagate the parent's full import path, the way multiprocessing's
     # spawn does: task functions are pickled by reference, so whatever
     # module defines them (the library, a script, a test module) must be
-    # importable in the worker too.
+    # importable in the child too.
     package_root = str(os.path.dirname(os.path.dirname(repro.__file__)))
     entries = [package_root] + [p for p in sys.path if p]
     existing = env.get("PYTHONPATH", "")
     if existing:
         entries.append(existing)
     env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(entries))
-    env["REPRO_SHARD_AUTHKEY"] = authkey.decode("latin-1")
-    argv = [
-        sys.executable, "-m", "repro.shard.worker",
-        "--bind", f"{bind_host}:0",
-    ]
-    if max_tasks:
-        argv += ["--max-tasks", str(max_tasks)]
+    if authkey is not None:
+        env["REPRO_SHARD_AUTHKEY"] = authkey.decode("latin-1")
     process = subprocess.Popen(
-        argv,
+        [sys.executable, "-m", module, *argv],
         env=env,
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=subprocess.PIPE if capture_stderr else subprocess.DEVNULL,
         text=True,
     )
     started = time.monotonic()
-    line = process.stdout.readline() if process.stdout else ""
-    if not line.startswith("SHARD-WORKER-READY"):
+    line = process.stdout.readline()
+    if not line.startswith(ready_tag):
         process.kill()
-        raise ShardError(
-            f"remote worker failed to start (output: {line!r}, "
+        raise error(
+            f"{module} failed to start (output: {line!r}, "
             f"exit={process.poll()}, waited "
             f"{time.monotonic() - started:.1f}s)"
         )
     _, host, port, _pid = line.split()
-    return _SpawnedWorker(process, f"{host}:{port}")
+    return SpawnedProcess(process, f"{host}:{port}")
+
+
+def spawn_worker(
+    max_tasks: int = 0,
+    authkey: bytes = DEFAULT_AUTHKEY,
+    bind_host: str = "127.0.0.1",
+) -> SpawnedProcess:
+    """Start ``python -m repro.shard.worker`` on a free port."""
+    argv = ["--bind", f"{bind_host}:0"]
+    if max_tasks:
+        argv += ["--max-tasks", str(max_tasks)]
+    return spawn_server(
+        "repro.shard.worker", argv, "SHARD-WORKER-READY", ShardError,
+        authkey=authkey,
+    )
 
 
 class WorkerFleet:
@@ -387,7 +423,7 @@ class WorkerFleet:
         self.max_tasks = int(max_tasks)
         self.respawn = bool(respawn)
         self.authkey = authkey
-        self._spawned: List[_SpawnedWorker] = []
+        self._spawned: List[SpawnedProcess] = []
         self._clients: Dict[str, WorkerClient] = {}
         self._started = False
 
@@ -417,7 +453,7 @@ class WorkerFleet:
             worker.address, self.authkey
         )
 
-    def _forget(self, worker: _SpawnedWorker) -> None:
+    def _forget(self, worker: SpawnedProcess) -> None:
         worker.kill()
         self._spawned.remove(worker)
         client = self._clients.pop(worker.address, None)
@@ -449,10 +485,7 @@ class WorkerFleet:
             client.close()
         for worker in list(self._spawned):
             if worker.address == worker_id:
-                try:
-                    worker.process.wait(timeout=10)
-                except Exception:
-                    pass
+                worker.wait(timeout=10)
                 self._forget(worker)
                 if self.respawn:
                     self._spawn_one()

@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.shard.faults import FaultedTask, FaultPlan
 from repro.shard.plan import ShardPlan
-from repro.shard.registry import get_backend
+from repro.shard.base import get_backend
 from repro.utils.errors import ShardDegradation, ShardError, ValidationError
 
 #: the degradation ladder, topmost rung first.

@@ -42,6 +42,7 @@ from repro.shard.remote import (
     DEFAULT_AUTHKEY,
     FrameError,
     recv_frame,
+    resolve_authkey,
     send_frame,
 )
 from repro.utils.errors import ReproError, ShardError
@@ -191,14 +192,12 @@ def main(argv: Optional[list] = None) -> int:
              "env var, else the built-in development key)",
     )
     args = parser.parse_args(argv)
-    if args.authkey is not None:
-        authkey = args.authkey.encode("latin-1")
-    elif os.environ.get("REPRO_SHARD_AUTHKEY"):
-        authkey = os.environ["REPRO_SHARD_AUTHKEY"].encode("latin-1")
-    else:
-        authkey = DEFAULT_AUTHKEY
     try:
-        serve(args.bind, max_tasks=args.max_tasks, authkey=authkey)
+        serve(
+            args.bind,
+            max_tasks=args.max_tasks,
+            authkey=resolve_authkey(args.authkey),
+        )
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -30,18 +30,20 @@ from repro.solvers.api import validate_operand
 from repro.solvers.base import EigenProblem, EigenResult
 from repro.solvers.batch import BatchedBackend
 from repro.solvers.registry import get_backend, resolve_method
+from repro.utils.counters import Counters
 from repro.utils.errors import ValidationError
 
 
 @dataclass
-class SolverStats:
+class SolverStats(Counters):
     """Counters accumulated by one :class:`SolverContext`.
 
     ``saved`` counts eigensolves that *would* have run but were avoided by
     a caller-side cache or dedup (callers report them via
     :meth:`SolverContext.note_saved`); ``matvecs`` aggregates operator
     applications across iterative solves, the quantity warm starting
-    actually reduces.
+    actually reduces.  Sharded dispatches fold per-worker stats back in
+    item order with :meth:`merge`.
     """
 
     solves: int = 0
@@ -77,37 +79,6 @@ class SolverStats:
         self.by_backend[result.backend] = (
             self.by_backend.get(result.backend, 0) + 1
         )
-
-    def merge(self, other: "SolverStats") -> "SolverStats":
-        """Fold ``other``'s counters into this object.
-
-        Sharded dispatches accumulate per-worker :class:`SolverStats`
-        and merge them back in item order, so the aggregate equals what
-        a single-process run would have recorded.  Aliasing-safe: the
-        counters (including the ``by_backend`` map) are snapshotted
-        before any mutation, so ``stats.merge(stats)`` doubles cleanly
-        instead of double-counting mid-iteration.
-        """
-        snapshot = (
-            other.solves, other.saved, other.warm_solves,
-            other.cold_solves, other.batched_solves, other.matvecs,
-            other.coarse_solves, other.tolerance_updates,
-            dict(other.by_backend),
-        )
-        self.solves += snapshot[0]
-        self.saved += snapshot[1]
-        self.warm_solves += snapshot[2]
-        self.cold_solves += snapshot[3]
-        self.batched_solves += snapshot[4]
-        self.matvecs += snapshot[5]
-        self.coarse_solves += snapshot[6]
-        self.tolerance_updates += snapshot[7]
-        for name, count in snapshot[8].items():
-            self.by_backend[name] = self.by_backend.get(name, 0) + count
-        return self
-
-    def __iadd__(self, other: "SolverStats") -> "SolverStats":
-        return self.merge(other)
 
     def summary(self) -> str:
         """One-line human-readable digest (used by the CLI)."""

@@ -1,4 +1,4 @@
-"""String-keyed backend registry and the single dispatch policy.
+"""The eigensolver backend registry and the single dispatch policy.
 
 Every eigensolve in the repository routes through this registry: call
 sites name a backend (``"dense"``, ``"lanczos"``, ``"lobpcg"``,
@@ -20,10 +20,8 @@ dispatch must use :func:`resolve_method` rather than re-deriving it):
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from repro.solvers.base import EigenBackend
-from repro.utils.errors import ValidationError
+from repro.utils.registry import Registry
 
 #: "auto" uses the exact dense solver at or below this many nodes.
 DENSE_CUTOFF = 600
@@ -34,49 +32,11 @@ LOBPCG_MIN_RATIO = 5
 #: methods that run an iterative solver (directly or via an inner backend).
 _ITERATIVE = ("lanczos", "lobpcg", "batch")
 
-_REGISTRY: Dict[str, EigenBackend] = {}
-
-
-def register_backend(backend: EigenBackend, overwrite: bool = False) -> EigenBackend:
-    """Register ``backend`` under its ``name`` key.
-
-    Raises :class:`ValidationError` for empty names or duplicate
-    registrations unless ``overwrite`` is set (useful for swapping in an
-    instrumented or accelerator-specific implementation).
-    """
-    name = getattr(backend, "name", "")
-    if not name or not isinstance(name, str):
-        raise ValidationError(
-            f"backend must define a non-empty string name, got {name!r}"
-        )
-    if name in _REGISTRY and not overwrite:
-        raise ValidationError(
-            f"backend {name!r} is already registered; "
-            "pass overwrite=True to replace it"
-        )
-    _REGISTRY[name] = backend
-    return backend
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend (no-op if absent); used by tests and plugins."""
-    _REGISTRY.pop(name, None)
-
-
-def get_backend(name: str) -> EigenBackend:
-    """Look up a backend by key; unknown keys list what is available."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown eigensolver backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        ) from None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Sorted registry keys."""
-    return tuple(sorted(_REGISTRY))
+_BACKENDS: Registry[EigenBackend] = Registry("eigensolver backend")
+register_backend = _BACKENDS.register
+unregister_backend = _BACKENDS.unregister
+get_backend = _BACKENDS.get
+available_backends = _BACKENDS.available
 
 
 def resolve_method(n: int, t: int, method: str) -> str:

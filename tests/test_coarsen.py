@@ -1,6 +1,6 @@
 """Tests for the coarsening subsystem (repro.coarsen, DESIGN.md §12).
 
-Covers the registry semantics, the prolongation/Galerkin primitives and
+Covers the registry contract, the prolongation/Galerkin primitives and
 their spectral guarantees (``P^T P = I``, ``lambda_j(P^T L P) >=
 lambda_j(L)``), both built-in backends' determinism and aggregate
 properties, and the first-order refinement machinery (Hellmann–Feynman
@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.coarsen
+from registry_contract import RegistryContract
 from repro.coarsen import (
-    CoarsenBackend,
     CoarsenStats,
     aggregate_similarity,
     available_backends,
@@ -26,9 +27,7 @@ from repro.coarsen import (
     landmark_aggregates,
     prolong_block,
     prolongation_from_aggregates,
-    register_backend,
     spectral_gradient,
-    unregister_backend,
 )
 from repro.core.laplacian import aggregate_laplacians, build_view_laplacians
 from repro.core.objective import SpectralObjective
@@ -52,51 +51,13 @@ def small_laplacians():
 # --------------------------------------------------------------------- #
 
 
-class _DummyBackend(CoarsenBackend):
-    name = "dummy-coarsen"
-
-    def coarsen(self, laplacians, seed=0, params=None):
-        n = laplacians[0].shape[0]
-        return prolongation_from_aggregates(np.arange(n) // 2)
-
-
 def test_registry_lists_builtins():
     assert "heavy-edge" in available_backends()
     assert "landmark" in available_backends()
 
 
-def test_registry_register_get_unregister():
-    backend = _DummyBackend()
-    register_backend(backend)
-    try:
-        assert get_backend("dummy-coarsen") is backend
-        assert "dummy-coarsen" in available_backends()
-    finally:
-        unregister_backend("dummy-coarsen")
-    assert "dummy-coarsen" not in available_backends()
-
-
-def test_registry_duplicate_rejected():
-    backend = _DummyBackend()
-    register_backend(backend)
-    try:
-        with pytest.raises(ValidationError):
-            register_backend(_DummyBackend())
-        register_backend(_DummyBackend(), overwrite=True)  # explicit ok
-    finally:
-        unregister_backend("dummy-coarsen")
-
-
-def test_registry_unknown_backend_lists_available():
-    with pytest.raises(ValidationError, match="heavy-edge"):
-        get_backend("no-such-backend")
-
-
-def test_registry_empty_name_rejected():
-    nameless = _DummyBackend()
-    nameless.name = ""
-    with pytest.raises(ValidationError):
-        register_backend(nameless)
+class TestRegistry(RegistryContract):
+    package = repro.coarsen
 
 
 # --------------------------------------------------------------------- #

@@ -314,13 +314,19 @@ class TestAbandonment:
                     "job": {"kind": "cluster", "profile": PROFILE},
                 })
                 sock.close()  # abandon without reading the reply
-            # Every slot and byte must come back.
+            # Every request is cancelled and every slot and byte comes
+            # back.  Wait for all three together: depth and bytes are
+            # already zero before the daemon has read a single frame.
             assert wait_for(
-                lambda: daemon.queue.depth == 0
+                lambda: daemon.stats.total("cancelled") == 100
+                and daemon.queue.depth == 0
                 and daemon.queue.inflight_bytes == 0,
                 timeout=20.0,
-            ), (daemon.queue.depth, daemon.queue.inflight_bytes)
-            assert daemon.stats.total("cancelled") == 100
+            ), (
+                daemon.stats.total("cancelled"),
+                daemon.queue.depth,
+                daemon.queue.inflight_bytes,
+            )
             daemon.worker_gate.set()
             # The daemon still serves after the churn.
             with ServeClient(daemon.address) as client:

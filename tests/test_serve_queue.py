@@ -19,6 +19,7 @@ from repro.serve.queue import (
     TokenBucket,
 )
 from repro.serve.stats import PRIORITIES, ServeStats, percentile
+from repro.utils.counters import merge_snapshots
 from repro.utils.errors import (
     DeadlineExceeded,
     ServerDraining,
@@ -388,10 +389,18 @@ class TestMergeSnapshots:
         b.bump("acme", "requests", 1)
         b.bump("zeta", "requests", 5)  # tenant known to one daemon only
         b.record_wait("zeta", 0.400)
-        merged = ServeStats.merge_snapshots([a.snapshot(), b.snapshot()])
+        merged = merge_snapshots(
+            [a.snapshot(), b.snapshot()], ServeStats.ZERO_SNAPSHOT
+        )
         assert merged["totals"]["requests"] == 9
         assert merged["tenants"]["acme"]["requests"] == 4
         assert merged["tenants"]["zeta"]["requests"] == 5
+        # Tenants are the sorted union, whatever order daemons report in.
+        only_zeta = {"tenants": {"zeta": merged["tenants"]["zeta"]}}
+        reordered = merge_snapshots(
+            [only_zeta, a.snapshot()], ServeStats.ZERO_SNAPSHOT
+        )
+        assert list(reordered["tenants"]) == ["acme", "zeta"]
         # Percentiles take the fleet max, never a sum.
         assert merged["totals"]["queue_wait_p99_ms"] == pytest.approx(400.0)
         assert merged["tenants"]["acme"]["queue_wait_p99_ms"] == (
@@ -414,7 +423,9 @@ class TestMergeSnapshots:
         new = ServeStats()
         new.bump("acme", "result_hits")
         new.record_wait("acme", 0.001, priority="interactive")
-        merged = ServeStats.merge_snapshots([old, new.snapshot()])
+        merged = merge_snapshots(
+            [old, new.snapshot()], ServeStats.ZERO_SNAPSHOT
+        )
         assert merged["totals"]["requests"] == 2
         assert merged["totals"]["result_hits"] == 1
         assert merged["tenants"]["acme"]["result_hits"] == 1
@@ -424,7 +435,7 @@ class TestMergeSnapshots:
         assert "1 result-cache hits" in line
 
     def test_empty_merge_still_renders(self):
-        merged = ServeStats.merge_snapshots([])
+        merged = merge_snapshots([], ServeStats.ZERO_SNAPSHOT)
         assert merged["totals"]["requests"] == 0
         assert all(name in merged["priorities"] for name in PRIORITIES)
         assert "0 requests" in ServeStats.summary_from_snapshot(merged)

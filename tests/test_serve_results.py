@@ -24,13 +24,9 @@ from repro.core.sgla import SGLAConfig, prepare_laplacians
 from repro.datasets.profiles import load_profile_mvag
 from repro.serve import ServeClient, ServeConfig, ServeDaemon
 from repro.serve.daemon import spawn_daemon
-from repro.serve.results import (
-    ResultCache,
-    merge_results_snapshots,
-    result_key,
-    results_summary,
-)
+from repro.serve.results import ResultCache, result_key, results_summary
 from repro.solvers import SolverContext
+from repro.utils.counters import merge_snapshots
 
 PROFILE = "rm_small"
 R = 11  # view count of rm_small
@@ -220,21 +216,26 @@ class TestResultCache:
         assert "of 1.0MB" in line
         assert results_summary({"enabled": False}) == "results off"
 
-    def test_merge_results_snapshots(self):
+    def test_merge_snapshots_of_result_caches(self):
         a = ResultCache(max_bytes=1 << 20)
         b = ResultCache(max_bytes=1 << 20)
         a.put(b"a" * 16, {"v": np.zeros(4)})
         a.get(b"a" * 16)
         b.get(b"z" * 16)
-        merged = merge_results_snapshots(
-            [a.snapshot(), b.snapshot(), {"enabled": False}, None]
+        c = ResultCache()  # unbounded: max_bytes None reads as zero
+        merged = merge_snapshots(
+            [a.snapshot(), b.snapshot(), c.snapshot(),
+             {"enabled": False}, None],
+            ResultCache.ZERO_SNAPSHOT,
         )
         assert merged["enabled"] is True
         assert merged["hits"] == 1
         assert merged["misses"] == 1
         assert merged["entries"] == 1
         assert merged["max_bytes"] == 2 << 20
-        assert merge_results_snapshots([])["enabled"] is False
+        empty = merge_snapshots([], ResultCache.ZERO_SNAPSHOT)
+        assert empty == ResultCache.ZERO_SNAPSHOT
+        assert empty["enabled"] is False
 
 
 # ---------------------------------------------------------------------- #

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.shard
+from registry_contract import RegistryContract
 from repro.core.fastpath import StackedLaplacians
 from repro.core.laplacian import build_view_laplacians
 from repro.core.pipeline import cluster_mvag
@@ -27,6 +29,7 @@ from repro.shard import (
     ShardContext,
     ShardError,
     attached,
+    available_backends,
     create_segment,
     inline_spec,
     register_backend,
@@ -34,7 +37,6 @@ from repro.shard import (
     shard_view_laplacians,
     unregister_backend,
 )
-from repro.shard.registry import available_backends, get_backend
 from repro.solvers import SolverContext
 from repro.utils.errors import ValidationError
 
@@ -187,13 +189,6 @@ class TestContextPolicy:
         with pytest.raises(ValidationError):
             SGLAConfig(shard_workers=-1)
 
-    def test_registry_errors(self):
-        assert set(available_backends()) >= {"process", "serial"}
-        with pytest.raises(ValidationError):
-            get_backend("no-such-backend")
-        with pytest.raises(ValidationError):
-            register_backend(get_backend("serial"))  # duplicate name
-
     def test_registry_plugin_roundtrip(self):
         class _Echo(ShardBackend):
             name = "echo-test"
@@ -209,6 +204,13 @@ class TestContextPolicy:
             shard.close()
         finally:
             unregister_backend("echo-test")
+
+
+class TestRegistry(RegistryContract):
+    package = repro.shard
+
+    def test_builtins_registered(self):
+        assert set(available_backends()) >= {"process", "remote", "serial"}
 
 
 # --------------------------------------------------------------------- #

@@ -1,5 +1,6 @@
 """Property-based tests (seeded random trials) for ShardPlan and the
-stats-merge algebra the shard subsystem's aggregation relies on.
+stats-merge algebra the shard subsystem's aggregation relies on (the
+field-driven ``Counters`` merge of every mergeable stats class).
 
 No external property-testing dependency: trials are driven by a seeded
 ``numpy`` generator, so failures are reproducible from the seed printed
@@ -8,13 +9,15 @@ in the assertion message.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.neighbors import NeighborStats
 from repro.shard import ShardPlan, ShardStats
 from repro.solvers import SolverStats
-from repro.solvers.base import EigenResult
 from repro.utils.errors import ValidationError
 
 N_TRIALS = 200
@@ -126,153 +129,92 @@ class TestShardPlanProperties:
 # --------------------------------------------------------------------- #
 
 
-def _random_solver_stats(rng) -> SolverStats:
-    stats = SolverStats()
-    for _ in range(int(rng.integers(0, 6))):
-        result = EigenResult(
-            values=np.zeros(2),
-            vectors=None,
-            backend=str(rng.choice(["lanczos", "dense", "shard[lanczos]"])),
-            matvecs=int(rng.integers(0, 100)),
-        )
-        stats.record(
-            result,
-            warm=bool(rng.random() < 0.5),
-            batched=bool(rng.random() < 0.5),
-            coarse=bool(rng.random() < 0.5),
-        )
-    stats.saved += int(rng.integers(0, 4))
-    stats.tolerance_updates += int(rng.integers(0, 3))
+#: the three mergeable stats classes (all on the shared Counters base).
+STATS_CLASSES = (SolverStats, NeighborStats, ShardStats)
+
+#: keys drawn for counter maps (``by_backend``).
+MAP_KEYS = ("dense", "lanczos", "shard[lanczos]", "exact", "rp-forest")
+
+#: fields that are configuration, not counters: a merge keeps the value.
+SETTINGS = ("recall_sample",)
+
+
+def _random_stats(cls, rng):
+    """A ``cls`` with every dataclass field drawn at random."""
+    stats = cls()
+    for field in dataclasses.fields(cls):
+        if isinstance(getattr(stats, field.name), dict):
+            keys = rng.choice(
+                MAP_KEYS, size=int(rng.integers(0, 4)), replace=False
+            )
+            value = {str(key): int(rng.integers(1, 50)) for key in keys}
+        else:
+            value = int(rng.integers(0, 1000))
+        setattr(stats, field.name, value)
     return stats
 
 
-def _random_neighbor_stats(rng) -> NeighborStats:
-    stats = NeighborStats(recall_sample=int(rng.integers(0, 64)))
-    for _ in range(int(rng.integers(0, 5))):
-        n = int(rng.integers(2, 500))
-        stats.record_build(
-            str(rng.choice(["exact", "rp-forest"])),
-            n,
-            int(rng.integers(0, n * n)),
-        )
-    if rng.random() < 0.5:
-        stats.record_recall(int(rng.integers(0, 50)), int(rng.integers(50, 100)))
-    return stats
-
-
-def _solver_fields(stats: SolverStats) -> dict:
+def _fields(stats) -> dict:
     return {
-        "solves": stats.solves, "saved": stats.saved,
-        "warm": stats.warm_solves, "cold": stats.cold_solves,
-        "batched": stats.batched_solves, "matvecs": stats.matvecs,
-        "coarse": stats.coarse_solves, "tol": stats.tolerance_updates,
-        "by_backend": dict(stats.by_backend),
+        field.name: copy.copy(getattr(stats, field.name))
+        for field in dataclasses.fields(stats)
     }
 
 
-def _neighbor_fields(stats: NeighborStats) -> dict:
-    return {
-        "builds": stats.builds, "nodes": stats.nodes,
-        "cand": stats.candidate_pairs, "exh": stats.exhaustive_pairs,
-        "hits": stats.recall_hits, "total": stats.recall_total,
-        "by_backend": dict(stats.by_backend),
-    }
-
-
-def _sum_dicts(dicts):
-    total: dict = {}
-    for entry in dicts:
-        for key, value in entry.items():
+def _expected_merge(start, parts) -> dict:
+    """Field-wise sum of ``start`` and ``parts``; settings keep ``start``'s."""
+    total = _fields(start)
+    for part in parts:
+        for name, value in _fields(part).items():
+            if name in SETTINGS:
+                continue
             if isinstance(value, dict):
-                bucket = total.setdefault(key, {})
-                for name, count in value.items():
-                    bucket[name] = bucket.get(name, 0) + count
+                for key, count in value.items():
+                    total[name][key] = total[name].get(key, 0) + count
             else:
-                total[key] = total.get(key, 0) + value
+                total[name] += value
     return total
+
+
+def _check_merge_equals_sum(cls, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    for trial in range(N_TRIALS // 4):
+        start = _random_stats(cls, rng)
+        parts = [
+            _random_stats(cls, rng) for _ in range(int(rng.integers(1, 6)))
+        ]
+        expected = _expected_merge(start, parts)
+        for part in parts:
+            start.merge(part)
+        assert _fields(start) == expected, f"trial {trial}"
 
 
 class TestStatsMergeProperties:
     def test_solver_stats_merge_equals_sum(self):
-        rng = np.random.default_rng(53)
-        for trial in range(N_TRIALS // 2):
-            parts = [
-                _random_solver_stats(rng)
-                for _ in range(int(rng.integers(1, 6)))
-            ]
-            expected = _sum_dicts(_solver_fields(p) for p in parts)
-            merged = SolverStats()
-            for part in parts:
-                merged.merge(part)
-            assert _solver_fields(merged) == expected, f"trial {trial}"
+        _check_merge_equals_sum(SolverStats, seed=53)
 
     def test_neighbor_stats_merge_equals_sum(self):
-        rng = np.random.default_rng(59)
-        for trial in range(N_TRIALS // 2):
-            parts = [
-                _random_neighbor_stats(rng)
-                for _ in range(int(rng.integers(1, 6)))
-            ]
-            expected = _sum_dicts(_neighbor_fields(p) for p in parts)
-            merged = NeighborStats(recall_sample=0)
-            for part in parts:
-                merged.merge(part)
-            assert _neighbor_fields(merged) == expected, f"trial {trial}"
+        _check_merge_equals_sum(NeighborStats, seed=59)
 
     def test_shard_stats_merge_equals_sum(self):
-        rng = np.random.default_rng(61)
-        for _ in range(N_TRIALS // 4):
-            parts = []
-            for _ in range(int(rng.integers(1, 5))):
-                stats = ShardStats()
-                stats.dispatches = int(rng.integers(0, 5))
-                stats.serial_dispatches = int(rng.integers(0, 5))
-                stats.tasks = int(rng.integers(0, 20))
-                stats.shards_used = int(rng.integers(0, 8))
-                stats.segments = int(rng.integers(0, 10))
-                stats.bytes_shared = int(rng.integers(0, 1 << 24))
-                stats.failures = int(rng.integers(0, 2))
-                parts.append(stats)
-            merged = ShardStats()
-            for part in parts:
-                merged += part
-            assert merged.tasks == sum(p.tasks for p in parts)
-            assert merged.bytes_shared == sum(p.bytes_shared for p in parts)
-            assert merged.dispatches == sum(p.dispatches for p in parts)
+        _check_merge_equals_sum(ShardStats, seed=61)
 
     def test_merge_is_aliasing_safe(self):
         """stats.merge(stats) doubles every counter (no double-count)."""
         rng = np.random.default_rng(67)
-        solver = _random_solver_stats(rng)
-        before = _solver_fields(solver)
-        solver.merge(solver)
-        after = _solver_fields(solver)
-        for key, value in before.items():
-            if key == "by_backend":
-                assert after[key] == {
-                    name: 2 * count for name, count in value.items()
-                }
-            else:
-                assert after[key] == 2 * value
-        neighbor = _random_neighbor_stats(rng)
-        nbefore = _neighbor_fields(neighbor)
-        neighbor.merge(neighbor)
-        nafter = _neighbor_fields(neighbor)
-        for key, value in nbefore.items():
-            if key == "by_backend":
-                assert nafter[key] == {
-                    name: 2 * count for name, count in value.items()
-                }
-            else:
-                assert nafter[key] == 2 * value
+        for cls in STATS_CLASSES:
+            stats = _random_stats(cls, rng)
+            expected = _expected_merge(stats, [stats])
+            assert stats.merge(stats) is stats
+            assert _fields(stats) == expected, cls.__name__
 
     def test_iadd_matches_merge(self):
         rng = np.random.default_rng(71)
-        a1, a2 = _random_solver_stats(rng), _random_solver_stats(rng)
-        b1 = SolverStats()
-        b1.merge(a1)
-        b1.merge(a2)
-        b2 = SolverStats()
-        b2 += a1
-        b2 += a2
-        assert _solver_fields(b1) == _solver_fields(b2)
+        for cls in STATS_CLASSES:
+            a1, a2 = _random_stats(cls, rng), _random_stats(cls, rng)
+            b1, b2 = cls(), cls()
+            b1.merge(a1)
+            b1.merge(a2)
+            b2 += a1
+            b2 += a2
+            assert _fields(b1) == _fields(b2), cls.__name__

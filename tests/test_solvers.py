@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.solvers
+from registry_contract import RegistryContract
 from repro.core.laplacian import (
     aggregate_laplacians,
     build_view_laplacians,
@@ -25,7 +27,6 @@ from repro.solvers import (
     resolve_method,
     unregister_backend,
 )
-from repro.utils.errors import ValidationError
 
 ALL_BACKENDS = ("dense", "lanczos", "lobpcg", "batch")
 
@@ -78,16 +79,11 @@ class TestCrossBackendParity:
         np.testing.assert_allclose(values_only, values, atol=1e-10)
 
 
-class TestRegistry:
+class TestRegistry(RegistryContract):
+    package = repro.solvers
+
     def test_builtins_registered(self):
         assert available_backends() == tuple(sorted(ALL_BACKENDS))
-
-    def test_unknown_key_lists_alternatives(self):
-        with pytest.raises(ValidationError) as excinfo:
-            get_backend("warp-drive")
-        message = str(excinfo.value)
-        assert "warp-drive" in message
-        assert "lanczos" in message  # the error names what IS available
 
     def test_register_and_dispatch_custom_backend(self):
         class EchoDense(EigenBackend):
@@ -104,19 +100,6 @@ class TestRegistry:
             np.testing.assert_allclose(values, reference, atol=1e-12)
         finally:
             unregister_backend("echo-dense")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValidationError):
-            register_backend(get_backend("dense"))
-        # ... but allowed with an explicit overwrite.
-        register_backend(get_backend("dense"), overwrite=True)
-
-    def test_nameless_backend_rejected(self):
-        class Nameless(EigenBackend):
-            name = ""
-
-        with pytest.raises(ValidationError):
-            register_backend(Nameless())
 
 
 class TestDispatchPolicy:
