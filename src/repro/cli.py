@@ -134,13 +134,6 @@ def _add_solver_args(subparser) -> None:
         "build (default: core count)",
     )
     subparser.add_argument(
-        "--tol-ladder",
-        action="store_true",
-        help="adaptive-precision eigensolving: tie the eigensolve "
-        "tolerance to the optimizer's trust radius (coarse early, exact "
-        "final re-evaluation)",
-    )
-    subparser.add_argument(
         "--knn-backend",
         default="exact",
         choices=("auto",) + available_knn_backends(),
@@ -212,7 +205,6 @@ def _solver_config(args, **extra) -> SGLAConfig:
         knn_backend=args.knn_backend,
         eigen_backend=args.eigen_backend,
         solver_workers=args.solver_workers,
-        tol_ladder=args.tol_ladder,
         shard_workers=args.shard_workers,
         shard_backend=args.shard_backend,
         shard_retries=args.shard_retries,

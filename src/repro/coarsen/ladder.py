@@ -45,7 +45,7 @@ import scipy.sparse as sp
 
 from repro.coarsen.base import CoarsenStats, galerkin_project, get_backend
 from repro.core.laplacian import aggregate_laplacians
-from repro.core.objective import _EIGENGAP_FLOOR
+from repro.core.objective import _EIGENGAP_FLOOR, ladder_tolerance
 from repro.optim.simplex import project_to_simplex
 from repro.solvers import SolverContext
 
@@ -55,6 +55,10 @@ DEFAULT_REFINE_EVALS = 20
 #: BB step clamp (the simplex has unit diameter; steps outside this range
 #: are either noise or a degenerate curvature estimate).
 _STEP_MIN, _STEP_MAX = 1e-3, 10.0
+
+#: step movement at or above which the refine's tolerance ladder sits on
+#: its coarsest rung (the flat search's default initial trust radius).
+_LADDER_MOVEMENT_START = 0.25
 
 
 @dataclass
@@ -186,6 +190,7 @@ def gradient_refine(
     start_weights: np.ndarray,
     xtol: float,
     max_solves: int,
+    tol_ladder: bool = False,
 ) -> Tuple[np.ndarray, float, List[Tuple[np.ndarray, float]], int, bool]:
     """Projected Barzilai–Borwein descent of ``h`` on the simplex.
 
@@ -193,20 +198,37 @@ def gradient_refine(
     non-descent BB steps are backtracked.  Terminates when an accepted
     step moves no coordinate by more than ``xtol``, or at ``max_solves``.
     Returns ``(weights, value, history, n_solves, converged)``.
+
+    With ``tol_ladder`` the eigensolve tolerance follows the last
+    accepted step's movement, ``ladder_tolerance(movement, 0.25,
+    xtol)``: coarse before the first accepted step and after large
+    ones, backend default once steps shrink toward ``xtol``.  If the
+    returned weights were solved coarse, one exact re-solve replaces
+    their value, so the returned ``h`` is exact either way.  The
+    solver's tolerance is restored on the way out.
     """
 
     def solve(weights: np.ndarray):
         matrix = aggregate_laplacians(laplacians, weights)
+        tol = solver.tolerance_for(matrix.shape[0], k + 1)
         eigenvalues, vectors = solver.eigenpairs(matrix, k + 1)
         value = _objective_value(eigenvalues, weights, k, gamma)
         gradient = spectral_gradient(
             laplacians, weights, eigenvalues, vectors, k, gamma
         )
-        return value, gradient
+        return value, gradient, tol
 
+    def retarget(movement: float) -> None:
+        if tol_ladder:
+            solver.set_tolerance(
+                ladder_tolerance(movement, _LADDER_MOVEMENT_START, xtol)
+            )
+
+    prior_tol = solver.tol
+    retarget(_LADDER_MOVEMENT_START)
     weights = np.asarray(start_weights, dtype=np.float64).copy()
     history: List[Tuple[np.ndarray, float]] = []
-    value, gradient = solve(weights)
+    value, gradient, value_tol = solve(weights)
     n_solves = 1
     history.append((weights.copy(), value))
     previous: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -221,13 +243,13 @@ def gradient_refine(
                 step = float(dw @ dw) / denominator
             step = float(np.clip(step, _STEP_MIN, _STEP_MAX))
         candidate = project_to_simplex(weights - step * gradient)
-        cand_value, cand_gradient = solve(candidate)
+        cand_value, cand_gradient, cand_tol = solve(candidate)
         n_solves += 1
         history.append((candidate.copy(), cand_value))
         while cand_value > value + 1e-12 and n_solves < max_solves:
             step *= 0.25
             candidate = project_to_simplex(weights - step * gradient)
-            cand_value, cand_gradient = solve(candidate)
+            cand_value, cand_gradient, cand_tol = solve(candidate)
             n_solves += 1
             history.append((candidate.copy(), cand_value))
             if step < _STEP_MIN:
@@ -240,9 +262,19 @@ def gradient_refine(
         movement = float(np.abs(candidate - weights).max())
         previous = (weights, gradient)
         weights, value, gradient = candidate, cand_value, cand_gradient
+        value_tol = cand_tol
         if movement < xtol:
             converged = True
             break
+        retarget(movement)
+    if tol_ladder and value_tol > 0:
+        # The incumbent's value came from a coarse solve: report an
+        # exact one.
+        solver.set_tolerance(0.0)
+        value, _, _ = solve(weights)
+        n_solves += 1
+        history.append((weights.copy(), value))
+    solver.set_tolerance(prior_tol)
     return weights, value, history, n_solves, converged
 
 
@@ -348,6 +380,7 @@ def multilevel_fit(
             np.asarray(coarse_result.weights, dtype=np.float64),
             xtol=xtol,
             max_solves=max_solves,
+            tol_ladder=config.tol_ladder,
         )
     stats.fine_solves = solver.stats.solves - fine_before
     stats.refine_evaluations = n_refine

@@ -164,7 +164,8 @@ class SpectralObjective:
         # key -> (eigensolve tolerance the entry was computed at, value);
         # entries are only served when at least as tight as the current
         # target, so the ladder never reuses stale coarse values after
-        # the trust region has tightened (see _cache_lookup).
+        # the trust region has tightened (see _cache_lookup).  Dense
+        # solves are exact at any target and are tagged 0.
         self._cache: Dict[
             Tuple[int, ...], Tuple[float, ObjectiveComponents]
         ] = {}
@@ -252,16 +253,17 @@ class SpectralObjective:
     def evaluate_exact(self, weights) -> ObjectiveComponents:
         """Evaluate ``h(w)`` at the backend-default (full) precision.
 
-        Drops any cached (possibly coarse) value for ``weights`` first
-        and leaves the solver context at full precision, so everything
+        Leaves the solver context at full precision, so everything
         downstream of the optimizer — the final aggregation, clustering,
         embedding — runs exact.  This is the ladder's exactness
         guarantee: whatever precision the search ran at, the reported
-        ``h(w*)`` is a fresh full-precision eigensolve.
+        ``h(w*)`` comes from a full-precision eigensolve.  A cached
+        value that is already exact (tagged 0, e.g. every dense solve)
+        is served as is; a coarse one is refused by the
+        tolerance-tagged cache and re-solved.
         """
         weights = check_weights(weights, r=self.r)
         self.solver.set_tolerance(0.0)
-        self._cache.pop(self._cache_key(weights), None)
         return self.components(weights)
 
     # ------------------------------------------------------------------ #
@@ -292,7 +294,8 @@ class SpectralObjective:
 
     def _cache_store(self, key, components: ObjectiveComponents) -> None:
         if self._cache_enabled:
-            self._cache[key] = (self.solver.tol, components)
+            tol = self.solver.tolerance_for(self.n, self.k + 1)
+            self._cache[key] = (tol, components)
 
     def components(self, weights) -> ObjectiveComponents:
         """Evaluate ``h(w)`` and return the full component breakdown."""

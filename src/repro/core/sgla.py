@@ -21,7 +21,7 @@ from repro.core.mvag import MVAG, is_mvag_like
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (repro.coarsen)
     from repro.coarsen.base import CoarsenStats
-from repro.core.objective import LADDER_COARSE_TOL, SpectralObjective
+from repro.core.objective import SpectralObjective
 from repro.neighbors import NeighborStats
 from repro.optim.driver import minimize_on_simplex
 from repro.shard import ShardContext, shard_scope
@@ -77,17 +77,21 @@ class SGLAConfig:
         Ritz vectors; disable to isolate warm-start effects or to force
         cold starts on pathological spectra.
     tol_ladder:
-        Adaptive-precision eigensolving (DESIGN.md §8): map the
-        optimizer's current trust radius to the eigensolve tolerance —
-        coarse at ``rho_start``, backend default as the radius reaches
-        ``eps`` — and re-evaluate the incumbent at full precision at the
-        end, so the reported ``h(w*)`` is exact.  Saves matvecs on every
-        early optimizer iteration with (empirically) unchanged ``w*``.
-        For SGLA the ladder requires the ``trust-linear`` optimizer (the
-        only backend that maintains a radius) and is ignored otherwise;
-        SGLA+ uses it for its sampling stage regardless of optimizer.
-    ladder_coarse_tol:
-        Eigensolve tolerance of the ladder's coarsest rung.
+        Adaptive-precision eigensolving (DESIGN.md §8), on by default:
+        map the optimizer's current trust radius to the eigensolve
+        tolerance — ``LADDER_COARSE_TOL`` at ``rho_start``, backend
+        default as the radius reaches ``eps`` — and re-evaluate the
+        incumbent at full precision at the end, so the reported
+        ``h(w*)`` is exact.  Saves matvecs on the early optimizer
+        iterations; ``w*`` moves by up to ~1e-6.  For SGLA the ladder
+        requires the ``trust-linear`` optimizer (the only backend that
+        maintains a radius) and is ignored otherwise; SGLA+ uses it for
+        its sampling stage regardless of optimizer, and the multilevel
+        refine keys it to its step movement (DESIGN.md §12).  Solves
+        that resolve to ``dense`` are exact at any tolerance, so on
+        dense-sized problems the ladder changes nothing.  ``False``
+        runs every solve at the backend default: the fixed-tolerance
+        reference.
     shard_workers:
         Process budget of the sharded execution subsystem (DESIGN.md
         §10).  ``None`` / ``0`` disables sharding entirely (the classic
@@ -140,8 +144,7 @@ class SGLAConfig:
     surrogate_max_evaluations: int = 200
     seed: int = 0
     warm_start: bool = True
-    tol_ladder: bool = False
-    ladder_coarse_tol: float = LADDER_COARSE_TOL
+    tol_ladder: bool = True
     shard_workers: Optional[int] = None
     shard_backend: str = "process"
     shard_retries: int = 2
@@ -159,11 +162,6 @@ class SGLAConfig:
             raise ValidationError(f"alpha_r must be >= 0, got {self.alpha_r}")
         if self.knn_k < 1:
             raise ValidationError(f"knn_k must be >= 1, got {self.knn_k}")
-        if self.ladder_coarse_tol <= 0:
-            raise ValidationError(
-                f"ladder_coarse_tol must be positive, "
-                f"got {self.ladder_coarse_tol}"
-            )
         if self.shard_workers is not None and self.shard_workers < 0:
             raise ValidationError(
                 f"shard_workers must be >= 0, got {self.shard_workers}"
@@ -383,10 +381,7 @@ class SGLA:
         )
         prior_tol = solver.tol
         if use_ladder:
-            objective.enable_tolerance_ladder(
-                config.rho_start, config.eps,
-                coarse_tol=config.ladder_coarse_tol,
-            )
+            objective.enable_tolerance_ladder(config.rho_start, config.eps)
         outcome = minimize_on_simplex(
             objective,
             r=objective.r,
@@ -402,7 +397,8 @@ class SGLA:
         value = outcome.value
         if use_ladder:
             # Exactness guarantee: the search may have run coarse, but the
-            # reported optimum is a fresh full-precision evaluation; the
+            # reported optimum is a full-precision evaluation (a cached
+            # exact value, or a re-solve of a coarse one); the
             # shared solver context is then restored to the caller's
             # configured tolerance (the default 0 = full precision) for
             # the clustering / embedding stages that follow.

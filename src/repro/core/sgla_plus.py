@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.core.objective import SpectralObjective
+from repro.core.objective import LADDER_COARSE_TOL, SpectralObjective
 from repro.core.sampling import adjusted_samples, interpolation_samples
 import numpy as np
 
@@ -186,7 +186,7 @@ class SGLAPlus:
         # safeguard below then runs at full precision.
         prior_tol = solver.tol
         if config.tol_ladder:
-            solver.set_tolerance(config.ladder_coarse_tol)
+            solver.set_tolerance(LADDER_COARSE_TOL)
         if delta_samples == 0:
             samples = interpolation_samples(r)
         else:
@@ -242,8 +242,8 @@ class SGLAPlus:
             # The samples were scored at the coarse rung; a ~1e-5 solve
             # error must not let one outrank an exactly-evaluated
             # candidate, so the front-runner is re-scored at full
-            # precision (the tolerance-tagged cache refuses its coarse
-            # entry) before the comparison.
+            # precision (the tolerance-tagged cache refuses a coarse
+            # entry and serves an exact dense one) before the comparison.
             best_sample_value = objective(samples[best_sample_index])
             history.append((samples[best_sample_index], best_sample_value))
         if best_sample_value < best_value:
@@ -253,9 +253,9 @@ class SGLAPlus:
         value = best_value
         if config.tol_ladder:
             # The chosen incumbent may carry a coarse cached value (e.g.
-            # a sampled point); report a fresh full-precision h(w*),
-            # then hand the shared context back at the caller's
-            # configured tolerance.
+            # a sampled point); report a full-precision h(w*), then
+            # hand the shared context back at the caller's configured
+            # tolerance.
             value = objective.evaluate_exact(weights).value
             solver.set_tolerance(prior_tol)
         laplacian = objective.aggregate(weights)

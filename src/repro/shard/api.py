@@ -37,7 +37,7 @@ from repro.shard.tasks import (
 )
 from repro.solvers.base import EigenProblem
 from repro.solvers.batch import BatchedBackend
-from repro.solvers.context import SolverContext
+from repro.solvers.context import SolverContext, solve_tolerance
 from repro.solvers.registry import get_backend as get_eigen_backend
 
 
@@ -259,7 +259,7 @@ def shard_objective_batch(
                 replace(result, backend=f"shard[{result.backend}]"),
                 warm=parent_block is not None,
                 batched=True,
-                coarse=solver.tol > 0,
+                coarse=solve_tolerance(result.backend, solver.tol) > 0,
             )
             solver.seed_block(result.vectors)
             if warm and seed_block is None:

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from repro.shard.shm import ArraySpec, attached
 from repro.solvers.base import EigenProblem
-from repro.solvers.context import SolverStats
+from repro.solvers.context import SolverStats, solve_tolerance
 from repro.solvers.registry import get_backend as get_eigen_backend
 
 
@@ -146,6 +146,6 @@ def eigensolve_task(
         replace(result, backend=f"shard[{result.backend}]"),
         warm=v0_spec is not None,
         batched=True,
-        coarse=float(common["tol"]) > 0,
+        coarse=solve_tolerance(result.backend, float(common["tol"])) > 0,
     )
     return {"values": values, "matvecs": result.matvecs, "stats": stats}

@@ -3,8 +3,9 @@
 All backends compute the *bottom* of a symmetric PSD spectrum contained in
 ``[0, 2]`` (normalized Laplacians and convex combinations thereof):
 
-* ``dense``   — ``scipy.linalg.eigh`` on the materialized matrix; exact,
-  the ground truth for small ``n`` and in tests;
+* ``dense``   — ``scipy.linalg.eigh`` on the materialized matrix,
+  restricted to the bottom ``t`` pairs; exact at any requested
+  tolerance, the ground truth for small ``n`` and in tests;
 * ``lanczos`` — implicitly-restarted Lanczos (``eigsh``) on the
   complement ``2I - L`` (largest-of-complement converges without any
   sparse factorization);
@@ -108,18 +109,24 @@ def _eigsh_with_salvage(problem: EigenProblem, operand, **eigsh_kwargs):
 
 
 class DenseBackend(EigenBackend):
-    """Exact dense solver (LAPACK ``eigh``); matvec-free."""
+    """Exact dense solver (LAPACK ``eigh``); matvec-free.
+
+    Computes only the wanted bottom ``t`` pairs (``subset_by_index``),
+    never the whole spectrum.  Exact whatever ``problem.tol`` asks for.
+    """
 
     name = "dense"
 
     def solve(self, problem: EigenProblem) -> EigenResult:
         matrix = ensure_csr(problem.operand).toarray()
-        t = problem.t
+        wanted = (0, problem.t - 1)
         if not problem.want_vectors:
-            values = scipy.linalg.eigh(matrix, eigvals_only=True)
-            return EigenResult(values[:t].copy(), None, self.name)
-        values, vectors = scipy.linalg.eigh(matrix)
-        return EigenResult(values[:t].copy(), vectors[:, :t].copy(), self.name)
+            values = scipy.linalg.eigh(
+                matrix, eigvals_only=True, subset_by_index=wanted
+            )
+            return EigenResult(values, None, self.name)
+        values, vectors = scipy.linalg.eigh(matrix, subset_by_index=wanted)
+        return EigenResult(values, vectors, self.name)
 
 
 class LanczosBackend(EigenBackend):

@@ -34,6 +34,18 @@ from repro.utils.counters import Counters
 from repro.utils.errors import ValidationError
 
 
+def solve_tolerance(backend: str, tol: float) -> float:
+    """The tolerance a solve on ``backend`` runs at, given target ``tol``.
+
+    The dense backend (LAPACK ``eigh``) is exact whatever the target, so
+    its solves run at 0; every other backend runs at ``tol`` (0 = the
+    backend default).  The one rule behind both the coarse-solve count
+    (:attr:`SolverStats.coarse_solves`) and the tolerance tag of cached
+    objective values (:class:`repro.core.objective.SpectralObjective`).
+    """
+    return 0.0 if backend == "dense" else float(tol)
+
+
 @dataclass
 class SolverStats(Counters):
     """Counters accumulated by one :class:`SolverContext`.
@@ -52,8 +64,9 @@ class SolverStats(Counters):
     cold_solves: int = 0
     batched_solves: int = 0
     matvecs: int = 0
-    #: solves performed at a relaxed (> 0) tolerance — the ladder's
-    #: coarse stages; the complement ran at the backend default.
+    #: solves that ran at a relaxed (> 0) tolerance — the ladder's
+    #: coarse stages (see :func:`solve_tolerance`; dense solves are
+    #: exact); the complement ran at the backend default.
     coarse_solves: int = 0
     #: tolerance changes applied via SolverContext.set_tolerance.
     tolerance_updates: int = 0
@@ -141,6 +154,13 @@ class SolverContext:
         """The backend this context will run for an ``(n, t)`` problem."""
         return resolve_method(n, t, method or self.method)
 
+    def tolerance_for(
+        self, n: int, t: int, method: Optional[str] = None
+    ) -> float:
+        """The tolerance an ``(n, t)`` solve through this context runs at
+        (:func:`solve_tolerance` of the resolved backend)."""
+        return solve_tolerance(self.resolve(n, t, method=method), self.tol)
+
     # ------------------------------------------------------------------ #
     # Warm-start blocks
     # ------------------------------------------------------------------ #
@@ -176,7 +196,8 @@ class SolverContext:
         ``0`` restores the backend default (machine precision where
         supported).  This is the mutable knob the trust-region tolerance
         ladder turns as the optimizer's radius shrinks: coarse solves far
-        from convergence, backend-default solves near it.  Warm-start
+        from convergence, backend-default solves near it.  Solves that
+        resolve to ``dense`` stay exact at any target.  Warm-start
         blocks are kept — a block converged at a loose tolerance is still
         an excellent start for a tighter solve of the same operator.
         """
@@ -210,12 +231,23 @@ class SolverContext:
         )
         return problem, v0 is not None
 
-    def _finish(self, result: EigenResult, warm_used: bool, batched: bool = False):
+    def _finish(
+        self,
+        result: EigenResult,
+        warm_used: bool,
+        batched: bool = False,
+        label: Optional[str] = None,
+    ):
+        """Keep the result's Ritz block and record it in the stats, under
+        ``label`` in place of the backend name when one is given."""
         block = result.vectors
         if block is not None and self.warm_start:
             self._warm_blocks[block.shape[0]] = block
+        coarse = solve_tolerance(result.backend, self.tol) > 0
+        if label is not None:
+            result = replace(result, backend=label)
         self.stats.record(
-            result, warm=warm_used, batched=batched, coarse=self.tol > 0
+            result, warm=warm_used, batched=batched, coarse=coarse
         )
         return result
 
@@ -321,9 +353,10 @@ class SolverContext:
                 # Attribute the solve to the batch path in the stats
                 # (the raw result names only the inner backend).
                 self._finish(
-                    replace(result, backend=f"batch[{result.backend}]"),
+                    result,
                     warm_used,
                     batched=True,
+                    label=f"batch[{result.backend}]",
                 )
                 out.append(
                     (result.values, result.vectors if want_vectors else None)

@@ -64,14 +64,20 @@ class TestClusterCommand:
         assert "view weights" not in capsys.readouterr().out
 
     def test_lanczos_backend_and_tol_ladder(self, capsys):
+        """The tolerance ladder is on by default: an iterative-backend
+        run goes through it without any flag."""
         code = main(
             ["cluster", "rm", "--method", "sgla",
-             "--eigen-backend", "lanczos", "--tol-ladder"]
+             "--eigen-backend", "lanczos"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "view weights" in out
         assert "eigensolves" in out  # solver stats line
+
+    def test_tol_ladder_flag_removed(self):
+        with pytest.raises(SystemExit):
+            main(["cluster", "rm", "--method", "sgla", "--tol-ladder"])
 
 
 class TestEmbedCommand:

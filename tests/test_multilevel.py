@@ -14,11 +14,15 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.coarsen import gradient_refine
+from repro.core.laplacian import build_view_laplacians
+from repro.core.objective import SpectralObjective
 from repro.core.sgla import SGLA, SGLAConfig
 from repro.core.sgla_plus import SGLAPlus
 from repro.datasets.generator import generate_mvag
 from repro.dynamic.lazy import LazySGLA
 from repro.dynamic.stream import DynamicMVAG
+from repro.solvers import SolverContext
 from repro.utils.errors import ValidationError
 
 
@@ -138,6 +142,51 @@ class TestMultilevelFit:
         ).fit(mvag)
         np.testing.assert_array_equal(reference.weights, sharded.weights)
         assert reference.objective_value == sharded.objective_value
+
+
+class _ToleranceLog(SolverContext):
+    """A solver context that records the target tolerance of each
+    eigenpair solve."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.tols = []
+
+    def eigenpairs(self, *args, **kwargs):
+        self.tols.append(self.tol)
+        return super().eigenpairs(*args, **kwargs)
+
+
+class TestRefineLadder:
+    """The refine's tolerance ladder, keyed to its step movement, on the
+    iterative backend (the fixture is dense-sized under ``auto``)."""
+
+    K = 4
+
+    def _refine(self, laplacians, tol_ladder):
+        solver = _ToleranceLog(method="lanczos", seed=3)
+        start = np.full(len(laplacians), 1.0 / len(laplacians))
+        refined = gradient_refine(
+            laplacians, self.K, 0.5, solver, start,
+            xtol=5e-5, max_solves=20, tol_ladder=tol_ladder,
+        )
+        return refined, solver
+
+    def test_ladder_refine_matches_fixed_and_reports_exact(self, mvag):
+        laplacians = build_view_laplacians(mvag, knn_k=10)
+        (fixed_w, _, _, _, _), _ = self._refine(laplacians, False)
+        (weights, value, _, _, _), solver = self._refine(laplacians, True)
+        assert solver.stats.coarse_solves > 0
+        # The returned value comes from an exact solve, and the context
+        # is back at full precision for the stages that follow.
+        assert solver.tols[-1] == 0.0
+        assert solver.tol == 0.0
+        assert np.abs(weights - fixed_w).max() < 1e-6
+        fresh = SpectralObjective(
+            laplacians, k=self.K,
+            solver=SolverContext(method="lanczos", seed=3),
+        )
+        assert value == pytest.approx(fresh(weights), abs=1e-10)
 
 
 class TestConfigValidation:

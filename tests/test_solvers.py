@@ -72,6 +72,29 @@ class TestCrossBackendParity:
         values = bottom_eigenvalues(laplacian, 4, method=backend, seed=0)
         np.testing.assert_allclose(values, reference, atol=1e-8)
 
+    @pytest.mark.parametrize(
+        "laplacian_of, t",
+        [
+            (running_example_laplacian, 3),
+            (running_example_laplacian, 8),  # t == n: the whole spectrum
+            (lambda: generated_laplacian()[0], 5),
+        ],
+    )
+    def test_dense_matches_full_spectrum(self, laplacian_of, t):
+        """The dense backend's partial solve (bottom t pairs only)
+        matches the bottom of a full-spectrum eigh, up to t == n."""
+        laplacian = laplacian_of()
+        n = laplacian.shape[0]
+        full_values = np.linalg.eigvalsh(laplacian.toarray())
+        values_only = bottom_eigenvalues(laplacian, t, method="dense")
+        values, vectors = bottom_eigenpairs(laplacian, t, method="dense")
+        assert values.shape == (t,) and vectors.shape == (n, t)
+        np.testing.assert_allclose(values_only, full_values[:t], atol=1e-12)
+        np.testing.assert_allclose(values, full_values[:t], atol=1e-12)
+        np.testing.assert_allclose(
+            laplacian @ vectors, vectors * values, atol=1e-12
+        )
+
     def test_values_only_matches_pairs(self):
         laplacian, _ = generated_laplacian()
         values_only = bottom_eigenvalues(laplacian, 4, method="lanczos", seed=0)

@@ -75,6 +75,22 @@ class TestSolverContextTolerance:
         assert context.stats.coarse_solves == 1
         assert "coarse" in context.stats.summary()
 
+    def test_dense_solves_are_exact_at_any_tolerance(self):
+        """A solve that resolves to dense runs exact, so it is never
+        counted coarse and its tolerance reads 0."""
+        mvag = generate_mvag(
+            n_nodes=120, n_clusters=2, graph_view_strengths=[0.8, 0.3],
+            seed=0,
+        )
+        laplacians = build_view_laplacians(mvag, knn_k=5)
+        context = SolverContext(method="auto", tol=1e-4, seed=0)
+        assert context.resolve(120, 3) == "dense"
+        assert context.tolerance_for(120, 3) == 0.0
+        assert context.tolerance_for(120, 3, method="lanczos") == 1e-4
+        context.eigenvalues(laplacians[0], 3)
+        assert context.stats.solves == 1
+        assert context.stats.coarse_solves == 0
+
 
 class TestRhoExposure:
     def test_trust_linear_reports_decreasing_radii(self):
@@ -186,7 +202,9 @@ class TestSGLALadder:
         """Same seed => same w* (1e-6) and same final h(w*) (1e-8) as the
         fixed-tolerance run; the ladder only removes wasted precision."""
         mvag = self._mvag()
-        fixed = SGLA(SGLAConfig(seed=0, eigen_backend="lanczos")).fit(mvag)
+        fixed = SGLA(
+            SGLAConfig(seed=0, eigen_backend="lanczos", tol_ladder=False)
+        ).fit(mvag)
         ladder = SGLA(
             SGLAConfig(seed=0, eigen_backend="lanczos", tol_ladder=True)
         ).fit(mvag)
@@ -196,7 +214,9 @@ class TestSGLALadder:
     def test_strictly_fewer_matvecs_than_fixed(self):
         """The matvec regression gate on the *_small profile."""
         mvag = self._mvag()
-        fixed = SGLA(SGLAConfig(seed=0, eigen_backend="lanczos")).fit(mvag)
+        fixed = SGLA(
+            SGLAConfig(seed=0, eigen_backend="lanczos", tol_ladder=False)
+        ).fit(mvag)
         ladder = SGLA(
             SGLAConfig(seed=0, eigen_backend="lanczos", tol_ladder=True)
         ).fit(mvag)
@@ -229,7 +249,7 @@ class TestSGLALadder:
         mvag = self._mvag()
         base = SGLAConfig(
             seed=0, eigen_backend="lanczos",
-            optimizer_backend="nelder-mead",
+            optimizer_backend="nelder-mead", tol_ladder=False,
         )
         ladder_config = SGLAConfig(
             seed=0, eigen_backend="lanczos",
@@ -243,7 +263,9 @@ class TestSGLALadder:
 
     def test_sgla_plus_ladder(self):
         mvag = self._mvag()
-        fixed = SGLAPlus(SGLAConfig(seed=0, eigen_backend="lanczos")).fit(mvag)
+        fixed = SGLAPlus(
+            SGLAConfig(seed=0, eigen_backend="lanczos", tol_ladder=False)
+        ).fit(mvag)
         ladder = SGLAPlus(
             SGLAConfig(seed=0, eigen_backend="lanczos", tol_ladder=True)
         ).fit(mvag)
@@ -251,9 +273,23 @@ class TestSGLALadder:
         assert abs(fixed.objective_value - ladder.objective_value) < 1e-8
         assert ladder.solver_stats.matvecs < fixed.solver_stats.matvecs
 
-    def test_invalid_coarse_tol_rejected(self):
-        with pytest.raises(ValidationError):
-            SGLAConfig(ladder_coarse_tol=0.0)
+    def test_ladder_is_the_default(self):
+        assert SGLAConfig().tol_ladder is True
+
+    @pytest.mark.parametrize("solver_cls", [SGLA, SGLAPlus])
+    def test_dense_path_unchanged_by_ladder(self, solver_cls):
+        """Dense solves are exact at any tolerance, so on a dense-sized
+        profile the ladder re-solves nothing: the same solve count, the
+        same w* and h(w*) bit for bit, and no coarse solves."""
+        mvag = load_profile_mvag("dblp_small", seed=0)
+        fixed = solver_cls(SGLAConfig(seed=0, tol_ladder=False)).fit(mvag)
+        ladder = solver_cls(SGLAConfig(seed=0, tol_ladder=True)).fit(mvag)
+        solves = fixed.solver_stats.solves
+        assert ladder.solver_stats.by_backend == {"dense": solves}
+        assert ladder.solver_stats.solves == solves
+        np.testing.assert_array_equal(ladder.weights, fixed.weights)
+        assert ladder.objective_value == fixed.objective_value
+        assert ladder.solver_stats.coarse_solves == 0
 
     def test_downstream_clustering_quality_not_degraded(self):
         """Regression: with a shared solver context, the ladder's
