@@ -1,9 +1,9 @@
 """Spectral-solver backend benchmark (DESIGN.md §7–8).
 
-Compares the single-solve backends — dense / lanczos / lobpcg — on
-aggregated MVAG Laplacians at several sizes, measures the ``batch``
-backend's wall-clock win over naive sequential solves of a set of related
-weight vectors (the SGLA+ sampling workload), and measures the
+Compares the single-solve backends — dense / lanczos — on aggregated
+MVAG Laplacians at several sizes, measures the ``batch`` backend's
+wall-clock win over naive sequential solves of a set of related weight
+vectors (the SGLA+ sampling workload), and measures the
 adaptive-precision **tolerance ladder** on ``lanczos`` (SGLA end-to-end:
 trust-radius-driven eigensolve tolerances versus fixed-tolerance solves —
 same ``w*``, fewer matvecs).
@@ -51,6 +51,9 @@ LADDER_DELTA_W = 1e-6
 #: dense is O(n^3); skip it beyond this size to bound benchmark runtime.
 DENSE_LIMIT = 2500
 
+#: acceptance ceiling — max |dλ| of a single solve vs the dense reference.
+BACKEND_MAX_ERROR = 1e-10
+
 
 def _laplacians(n, seed=0, n_clusters=4, strengths=(0.8, 0.4, 0.2),
                 attr_dims=(24,), knn_k=5):
@@ -93,7 +96,7 @@ def bench_backends(sizes, t=5, seed=0):
         weights = np.full(len(laplacians), 1.0 / len(laplacians))
         laplacian = aggregate_laplacians(laplacians, weights)
         reference = None
-        for name in ("dense", "lanczos", "lobpcg"):
+        for name in ("dense", "lanczos"):
             if name == "dense" and n > DENSE_LIMIT:
                 rows.append((n, name, None, None, None))
                 continue
@@ -293,11 +296,12 @@ def run(smoke: bool = False, capsys=None, echo_json: bool = False) -> bool:
                 f"{stats['max_error']:.2e} at n={stats['n']}"
             )
             ok = False
-    # Bench-scale accuracy guard only: lobpcg's default iteration cap
-    # bounds its last eigenpair near 1e-5 here; the strict 1e-8 parity is
-    # enforced by tests/test_solvers.py on the running example.
+    # Every single-solve backend runs at its default (machine) precision,
+    # so it must match the dense reference far below any tolerance the
+    # objective could notice.  Above DENSE_LIMIT the reference is lanczos
+    # itself and the row reads 0.
     for n, name_, elapsed, _, error in backend_rows:
-        if error is not None and error > 2e-5:
+        if error is not None and error > BACKEND_MAX_ERROR:
             print(f"FAIL: backend {name_} off by {error:.2e} at n={n}")
             ok = False
     # Ladder gates are deterministic (solver-iteration counts, not wall

@@ -217,7 +217,6 @@ def _single_objective(
     outcome = minimize_on_simplex(
         func,
         r=objective.r,
-        backend=config.optimizer_backend,
         rho_start=config.rho_start,
         rho_end=config.eps,
         max_evaluations=config.t_max,

@@ -25,7 +25,7 @@ from repro.core.objective import SpectralObjective
 from repro.neighbors import NeighborStats
 from repro.optim.driver import minimize_on_simplex
 from repro.shard import ShardContext, shard_scope
-from repro.solvers import SolverContext, SolverStats
+from repro.solvers import SolverContext, SolverStats, available_backends
 from repro.utils.errors import ValidationError
 
 InputLike = Union[MVAG, Sequence[sp.spmatrix]]
@@ -58,12 +58,11 @@ class SGLAConfig:
         ``refine_iters`` / ``spill``, exact-f32 ``tie_margin``).
     eigen_backend:
         Eigensolver dispatch: ``"auto"`` (default) or any
-        :mod:`repro.solvers` registry key.
+        :mod:`repro.solvers` registry key; any other name is rejected
+        here, before the run builds or caches anything.
     solver_workers:
         Thread budget for the ``batch`` backend's concurrent solves
         (``None`` uses the host core count).
-    optimizer_backend:
-        One of ``repro.optim.driver.BACKENDS``.
     rho_start:
         Initial trust radius of the optimizer.
     surrogate_max_evaluations:
@@ -83,15 +82,12 @@ class SGLAConfig:
         default as the radius reaches ``eps`` — and re-evaluate the
         incumbent at full precision at the end, so the reported
         ``h(w*)`` is exact.  Saves matvecs on the early optimizer
-        iterations; ``w*`` moves by up to ~1e-6.  For SGLA the ladder
-        requires the ``trust-linear`` optimizer (the only backend that
-        maintains a radius) and is ignored otherwise; SGLA+ uses it for
-        its sampling stage regardless of optimizer, and the multilevel
-        refine keys it to its step movement (DESIGN.md §12).  Solves
-        that resolve to ``dense`` are exact at any tolerance, so on
-        dense-sized problems the ladder changes nothing.  ``False``
-        runs every solve at the backend default: the fixed-tolerance
-        reference.
+        iterations; ``w*`` moves by up to ~1e-6.  SGLA+ uses it for its
+        sampling stage, and the multilevel refine keys it to its step
+        movement (DESIGN.md §12).  Solves that resolve to ``dense`` are
+        exact at any tolerance, so on dense-sized problems the ladder
+        changes nothing.  ``False`` runs every solve at the backend
+        default: the fixed-tolerance reference.
     shard_workers:
         Process budget of the sharded execution subsystem (DESIGN.md
         §10).  ``None`` / ``0`` disables sharding entirely (the classic
@@ -139,7 +135,6 @@ class SGLAConfig:
     knn_params: Optional[dict] = None
     eigen_backend: str = "auto"
     solver_workers: Optional[int] = None
-    optimizer_backend: str = "trust-linear"
     rho_start: float = 0.25
     surrogate_max_evaluations: int = 200
     seed: int = 0
@@ -162,6 +157,12 @@ class SGLAConfig:
             raise ValidationError(f"alpha_r must be >= 0, got {self.alpha_r}")
         if self.knn_k < 1:
             raise ValidationError(f"knn_k must be >= 1, got {self.knn_k}")
+        eigen_backends = ("auto",) + available_backends()
+        if self.eigen_backend not in eigen_backends:
+            raise ValidationError(
+                f"unknown eigen_backend {self.eigen_backend!r}; "
+                f"available: {', '.join(eigen_backends)}"
+            )
         if self.shard_workers is not None and self.shard_workers < 0:
             raise ValidationError(
                 f"shard_workers must be >= 0, got {self.shard_workers}"
@@ -371,21 +372,13 @@ class SGLA:
             solver=solver,
             shard=shard,
         )
-        # The ladder follows the trust radius, which only the trust-linear
-        # optimizer maintains; other backends would run their *entire*
-        # search at the coarse rung, so the ladder is disabled for them
-        # rather than silently degrading the result.
-        use_ladder = (
-            config.tol_ladder
-            and config.optimizer_backend == "trust-linear"
-        )
+        use_ladder = config.tol_ladder
         prior_tol = solver.tol
         if use_ladder:
             objective.enable_tolerance_ladder(config.rho_start, config.eps)
         outcome = minimize_on_simplex(
             objective,
             r=objective.r,
-            backend=config.optimizer_backend,
             rho_start=config.rho_start,
             rho_end=config.eps,
             max_evaluations=config.t_max,

@@ -206,8 +206,7 @@ class SGLAPlus:
         outcome = minimize_on_simplex(
             model,
             r=r,
-            backend=config.optimizer_backend,
-            rho_start=config.rho_start,
+                rho_start=config.rho_start,
             rho_end=config.eps,
             max_evaluations=config.surrogate_max_evaluations,
             seed=config.seed,

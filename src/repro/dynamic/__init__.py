@@ -9,22 +9,21 @@ that system:
 * :mod:`repro.dynamic.stream` — :class:`DynamicMVAG`, a mutable multi-view
   graph accepting edge insertions/deletions and attribute updates, with
   incremental maintenance of every view Laplacian;
-* :mod:`repro.dynamic.incremental` — warm-started objective evaluation:
-  eigenpairs of the previous aggregation seed the next eigensolve, cutting
-  iteration counts for small perturbations;
 * :mod:`repro.dynamic.lazy` — :class:`LazySGLA`, which monitors the
   objective drift of the current weights after each batch of updates and
-  re-optimizes only when the drift exceeds a threshold.
+  re-optimizes only when the drift exceeds a threshold.  Its drift check
+  is one :class:`repro.core.objective.SpectralObjective` evaluation
+  through the run's shared solver context, so on the iterative path the
+  previous solve's Ritz block warm-starts it (incremental objective
+  evaluation).
 """
 
-from repro.dynamic.incremental import WarmStartObjective
 from repro.dynamic.lazy import LazySGLA, LazyUpdateReport
 from repro.dynamic.stream import DynamicMVAG, EdgeUpdate
 
 __all__ = [
     "DynamicMVAG",
     "EdgeUpdate",
-    "WarmStartObjective",
     "LazySGLA",
     "LazyUpdateReport",
 ]

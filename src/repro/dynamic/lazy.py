@@ -6,7 +6,9 @@ using the current view weights and *re-optimize only when necessary*.
 
 1. fit once on the initial snapshot (SGLA+ by default — cheap);
 2. after each update batch, re-evaluate ``h`` at the *current* weights on
-   the *updated* Laplacians (one warm-started eigensolve);
+   the *updated* Laplacians (one exact eigensolve through the run's shared
+   solver context; an iterative solve warm-starts from its last Ritz
+   block);
 3. if the objective drifted by more than ``drift_threshold`` (relative),
    re-run the weight optimization; otherwise keep the weights.
 
@@ -24,9 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.laplacian import aggregate_laplacians
+from repro.core.objective import SpectralObjective
 from repro.core.sgla import SGLAConfig
 from repro.core.sgla_plus import SGLAPlus
-from repro.dynamic.incremental import WarmStartObjective
 from repro.dynamic.stream import DynamicMVAG
 from repro.solvers import SolverContext
 from repro.utils.errors import NotFittedError, ValidationError
@@ -58,8 +60,9 @@ class LazySGLA:
         re-optimized (default 10%).
     solver:
         Optional shared :class:`repro.solvers.SolverContext` reused by
-        every (re)fit, so successive re-optimizations warm-start from the
-        previous stream state; built from ``config`` when omitted.
+        every (re)fit and drift check, so each solve warm-starts from the
+        previous stream state and lands in one set of statistics; built
+        from ``config`` when omitted.
     """
 
     k: int
@@ -72,7 +75,6 @@ class LazySGLA:
             raise ValidationError("drift_threshold must be >= 0")
         self.weights: Optional[np.ndarray] = None
         self.reference_value: Optional[float] = None
-        self._objective: Optional[WarmStartObjective] = None
         self.history: List[LazyUpdateReport] = []
 
     # ------------------------------------------------------------------ #
@@ -108,26 +110,28 @@ class LazySGLA:
         result = SGLAPlus(self.config).fit(laplacians, k=self.k, solver=self.solver)
         self.weights = result.weights
         self.reference_value = result.objective_value
-        self._objective = WarmStartObjective(
-            laplacians, k=self.k, gamma=self.config.gamma, seed=self.config.seed
-        )
         return self
 
     def refresh(self, dynamic: DynamicMVAG) -> LazyUpdateReport:
         """Re-check the weights against the updated graph.
 
         Evaluates ``h`` at the current weights on the updated Laplacians
-        (one warm-started eigensolve).  Re-optimizes only when the
-        relative drift exceeds ``drift_threshold``.
+        (one eigensolve through :attr:`solver`).  Re-optimizes only when
+        the relative drift exceeds ``drift_threshold``.
         """
-        if self.weights is None or self._objective is None:
+        if self.weights is None:
             raise NotFittedError("call fit before refresh")
         self._check_coarsen_compatible(dynamic)
         laplacians = dynamic.view_laplacians()
-        self._objective.set_laplacians(laplacians)
-        evaluations_before = self._objective.n_evaluations
+        objective = SpectralObjective(
+            laplacians,
+            k=self.k,
+            gamma=self.config.gamma,
+            seed=self.config.seed,
+            solver=self.solver,
+        )
 
-        current_value = self._objective(self.weights)
+        current_value = objective(self.weights)
         reference = self.reference_value if self.reference_value else 1e-12
         drift = abs(current_value - self.reference_value) / max(
             abs(reference), 1e-12
@@ -153,9 +157,7 @@ class LazySGLA:
             drift=float(drift),
             objective_value=float(current_value),
             weights=self.weights.copy(),
-            n_objective_evaluations=(
-                self._objective.n_evaluations - evaluations_before + extra
-            ),
+            n_objective_evaluations=objective.n_evaluations + extra,
         )
         self.history.append(report)
         return report

@@ -1,14 +1,11 @@
-"""Unified front end for simplex-constrained derivative-free minimization.
+"""Front end for simplex-constrained derivative-free minimization.
 
 :func:`minimize_on_simplex` accepts an objective over *full* weight vectors
 ``w in R^r`` (on the probability simplex), reduces the problem to the first
-``r - 1`` coordinates, dispatches to a backend, and restores the full
-weights.  Backends:
-
-* ``"trust-linear"`` — our from-scratch COBYLA-style optimizer (default);
-* ``"nelder-mead"``  — projected Nelder–Mead;
-* ``"scipy-cobyla"`` — scipy's COBYLA (Powell's original algorithm), kept
-  as an independent cross-check of the from-scratch implementation.
+``r - 1`` coordinates, runs the from-scratch COBYLA-style optimizer
+(:class:`repro.optim.cobyla.LinearTrustRegion`) on them, and restores the
+full weights.  scipy's COBYLA (Powell's original algorithm) stays in the
+test suite as an independent cross-check of that optimizer.
 """
 
 from __future__ import annotations
@@ -17,18 +14,14 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-import scipy.optimize
 
 from repro.optim.cobyla import LinearTrustRegion
-from repro.optim.nelder_mead import nelder_mead_simplex
 from repro.optim.simplex import (
     project_to_capped_simplex,
     reduce_weights,
     restore_weights,
 )
 from repro.utils.errors import ValidationError
-
-BACKENDS = ("trust-linear", "nelder-mead", "scipy-cobyla")
 
 
 @dataclass(frozen=True)
@@ -47,7 +40,6 @@ def minimize_on_simplex(
     func: Callable[[np.ndarray], float],
     r: int,
     x0=None,
-    backend: str = "trust-linear",
     rho_start: float = 0.25,
     rho_end: float = 1e-3,
     max_evaluations: int = 200,
@@ -65,15 +57,13 @@ def minimize_on_simplex(
         Number of views / weights.
     x0:
         Starting weights (defaults to uniform ``1/r``).
-    backend:
-        One of :data:`BACKENDS`.
     rho_start, rho_end:
         Trust-region radii (``rho_end`` doubles as the paper's ``eps``
         termination criterion on weight movement).
     max_evaluations:
         Cap on objective evaluations.
     seed:
-        Determinism seed for stochastic backend internals.
+        Determinism seed for the optimizer's internals.
     callback:
         Called with ``(best_weights, best_value)`` after each improvement.
     rho_listener:
@@ -81,17 +71,10 @@ def minimize_on_simplex(
         the objective evaluations that run at that radius.  This is how
         the adaptive-precision tolerance ladder sees the optimizer's
         progress (:meth:`repro.core.objective.SpectralObjective.
-        set_trust_radius`).  Only the ``trust-linear`` backend maintains
-        an explicit radius; the other backends emit ``rho_start`` once
-        and never tighten, which is why ``SGLA.fit`` only couples the
-        tolerance ladder to ``trust-linear`` — direct callers wiring a
-        listener to another backend must tighten (and re-evaluate)
-        themselves.
+        set_trust_radius`).
     """
     if r < 1:
         raise ValidationError(f"r must be >= 1, got {r}")
-    if backend not in BACKENDS:
-        raise ValidationError(f"backend must be one of {BACKENDS}, got {backend!r}")
     if x0 is None:
         x0 = np.full(r, 1.0 / r)
     x0 = np.asarray(x0, dtype=np.float64).ravel()
@@ -123,35 +106,18 @@ def minimize_on_simplex(
         if callback is not None:
             callback(restore_weights(u), value)
 
-    if backend == "trust-linear":
-        optimizer = LinearTrustRegion(
-            rho_start=rho_start,
-            rho_end=rho_end,
-            max_evaluations=max_evaluations,
-            seed=seed,
-        )
-        raw = optimizer.minimize(
-            reduced_func,
-            reduced0,
-            callback=reduced_callback,
-            rho_callback=rho_listener,
-        )
-    elif backend == "nelder-mead":
-        if rho_listener is not None:
-            rho_listener(rho_start)
-        raw = nelder_mead_simplex(
-            reduced_func,
-            reduced0,
-            initial_step=rho_start,
-            xatol=rho_end,
-            max_evaluations=max_evaluations,
-        )
-    else:  # scipy-cobyla
-        if rho_listener is not None:
-            rho_listener(rho_start)
-        raw = _scipy_cobyla(
-            reduced_func, reduced0, rho_start, rho_end, max_evaluations
-        )
+    optimizer = LinearTrustRegion(
+        rho_start=rho_start,
+        rho_end=rho_end,
+        max_evaluations=max_evaluations,
+        seed=seed,
+    )
+    raw = optimizer.minimize(
+        reduced_func,
+        reduced0,
+        callback=reduced_callback,
+        rho_callback=rho_listener,
+    )
 
     weights = restore_weights(raw["x"])
     return OptimizerResult(
@@ -163,37 +129,3 @@ def minimize_on_simplex(
         history=history,
     )
 
-
-def _scipy_cobyla(
-    reduced_func, reduced0, rho_start, rho_end, max_evaluations
-) -> dict:
-    dim = reduced0.size
-    constraints = [
-        {"type": "ineq", "fun": (lambda u, i=i: u[i])} for i in range(dim)
-    ]
-    constraints.append({"type": "ineq", "fun": lambda u: 1.0 - float(np.sum(u))})
-
-    def safe_func(u: np.ndarray) -> float:
-        # COBYLA may probe slightly infeasible points; project before the
-        # objective sees them so eigen-computations stay well defined.
-        return reduced_func(project_to_capped_simplex(u))
-
-    result = scipy.optimize.minimize(
-        safe_func,
-        reduced0,
-        method="COBYLA",
-        constraints=constraints,
-        options={
-            "rhobeg": rho_start,
-            "maxiter": max_evaluations,
-            "tol": rho_end,
-        },
-    )
-    return {
-        "x": project_to_capped_simplex(result.x),
-        "fun": float(result.fun),
-        "n_evaluations": int(result.nfev),
-        "n_iterations": int(getattr(result, "nit", result.nfev)),
-        "converged": bool(result.success),
-        "history": [],
-    }

@@ -250,7 +250,6 @@ def shard_objective_batch(
                 t,
                 tol=solver.tol,
                 seed=solver.seed,
-                maxiter=solver.maxiter,
                 v0=parent_block,
                 want_vectors=warm,
             )
@@ -286,7 +285,6 @@ def shard_objective_batch(
             "method": inner,
             "tol": float(solver.tol),
             "seed": solver.seed,
-            "maxiter": solver.maxiter,
             # The seed block is re-shared per chunk: ephemeral segments
             # only live for one dispatch, and share_persistent would pin
             # one segment per batch until context close.  batch_rows()

@@ -134,7 +134,6 @@ def eigensolve_task(
             int(common["t"]),
             tol=float(common["tol"]),
             seed=common["seed"],
-            maxiter=common["maxiter"],
             v0=v0,
             want_vectors=False,
         )

@@ -1,10 +1,9 @@
 """Pluggable spectral-solver subsystem (DESIGN.md §7–8).
 
 Every eigensolve in the repository routes through this package: a
-string-keyed **backend registry** (``dense``, ``lanczos``, ``lobpcg``,
-``batch``), a shared dispatch policy
-(:func:`resolve_method`), stateless one-shot entry points
-(:func:`bottom_eigenpairs` / :func:`bottom_eigenvalues` /
+string-keyed **backend registry** (``dense``, ``lanczos``, ``batch``), a
+shared dispatch policy (:func:`resolve_method`), stateless one-shot entry
+points (:func:`bottom_eigenpairs` / :func:`bottom_eigenvalues` /
 :func:`fiedler_value`), and a :class:`SolverContext` that carries
 warm-start Ritz blocks and solve statistics across the calls of one run.
 

@@ -60,7 +60,6 @@ def bottom_eigenpairs(
     method: str = "auto",
     tol: float = 0.0,
     seed=None,
-    maxiter: Optional[int] = None,
     v0: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Return the ``t`` smallest eigenvalues and eigenvectors of ``laplacian``.
@@ -79,8 +78,6 @@ def bottom_eigenpairs(
         Solver tolerance (0 means machine precision where supported).
     seed:
         Seed for the deterministic starting vector of iterative solvers.
-    maxiter:
-        Optional iteration cap for iterative solvers.
     v0:
         Optional warm start: an ``(n,)`` vector or ``(n, m)`` block of Ritz
         vectors from a previous, nearby solve.
@@ -93,7 +90,7 @@ def bottom_eigenpairs(
     """
     operand, _, t, method = prepare(laplacian, t, method)
     result = get_backend(method).solve(
-        EigenProblem(operand, t, tol=tol, seed=seed, maxiter=maxiter, v0=v0)
+        EigenProblem(operand, t, tol=tol, seed=seed, v0=v0)
     )
     return result.values, result.vectors
 
@@ -104,7 +101,6 @@ def bottom_eigenvalues(
     method: str = "auto",
     tol: float = 0.0,
     seed=None,
-    maxiter: Optional[int] = None,
 ) -> np.ndarray:
     """Eigenvalues-only variant of :func:`bottom_eigenpairs`.
 
@@ -115,9 +111,7 @@ def bottom_eigenvalues(
     """
     operand, _, t, method = prepare(laplacian, t, method)
     result = get_backend(method).solve(
-        EigenProblem(
-            operand, t, tol=tol, seed=seed, maxiter=maxiter, want_vectors=False
-        )
+        EigenProblem(operand, t, tol=tol, seed=seed, want_vectors=False)
     )
     return result.values
 

@@ -8,14 +8,11 @@ All backends compute the *bottom* of a symmetric PSD spectrum contained in
   tolerance, the ground truth for small ``n`` and in tests;
 * ``lanczos`` — implicitly-restarted Lanczos (``eigsh``) on the
   complement ``2I - L`` (largest-of-complement converges without any
-  sparse factorization);
-* ``lobpcg``  — block preconditioned solver; best with many requested
-  pairs and a good warm-start block.
+  sparse factorization).
 
 Together with :mod:`repro.solvers.batch` these are the only modules in the
-repository allowed to call ``scipy.linalg.eigh`` / ``eigsh`` / ``lobpcg``
-directly — everything else goes through the registry
-(:mod:`repro.solvers.registry`).
+repository allowed to call ``scipy.linalg.eigh`` / ``eigsh`` directly —
+everything else goes through the registry (:mod:`repro.solvers.registry`).
 """
 
 from __future__ import annotations
@@ -92,7 +89,6 @@ def _eigsh_with_salvage(problem: EigenProblem, operand, **eigsh_kwargs):
             k=problem.t,
             tol=problem.tol,
             v0=_start_vector(problem),
-            maxiter=problem.maxiter,
             return_eigenvectors=problem.want_vectors,
             rng=_rng(problem),
             **eigsh_kwargs,
@@ -147,48 +143,5 @@ class LanczosBackend(EigenBackend):
         return EigenResult(values, vectors, self.name, matvecs=counter.count)
 
 
-class LobpcgBackend(EigenBackend):
-    """Block preconditioned solver; uses warm-start blocks natively."""
-
-    name = "lobpcg"
-
-    def solve(self, problem: EigenProblem) -> EigenResult:
-        n, t = problem.n, problem.t
-        rng = _rng(problem)
-        guess = None
-        if problem.v0 is not None:
-            block = np.asarray(problem.v0, dtype=np.float64)
-            if block.ndim == 1:
-                block = block[:, None]
-            if block.shape[0] == n and block.shape[1] >= 1:
-                if block.shape[1] >= t:
-                    guess = np.ascontiguousarray(block[:, :t])
-                else:
-                    pad = rng.standard_normal((n, t - block.shape[1]))
-                    guess = np.hstack([block, pad])
-        if guess is None:
-            guess = rng.standard_normal((n, t))
-            # Constant vector is (near) the bottom eigenvector of connected
-            # views; seeding with it accelerates convergence substantially.
-            guess[:, 0] = 1.0
-        counter = MatvecCounter(problem.operand)
-        values, vectors = spla.lobpcg(
-            counter,
-            guess,
-            largest=False,
-            tol=problem.tol or 1e-8,
-            maxiter=problem.maxiter or 200,
-        )
-        order = np.argsort(values)
-        values = np.clip(
-            np.asarray(values)[order], 0.0, SPECTRUM_UPPER_BOUND
-        )
-        vectors = np.asarray(vectors)[:, order]
-        if not problem.want_vectors:
-            vectors = None
-        return EigenResult(values, vectors, self.name, matvecs=counter.count)
-
-
 register_backend(DenseBackend())
 register_backend(LanczosBackend())
-register_backend(LobpcgBackend())

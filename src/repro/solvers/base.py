@@ -39,8 +39,6 @@ class EigenProblem:
         Solver tolerance (0 means machine precision where supported).
     seed:
         Seed for deterministic iterative start vectors.
-    maxiter:
-        Optional iteration cap for iterative backends.
     v0:
         Optional warm start: an ``(n,)`` vector or ``(n, m)`` Ritz block
         from a previous, nearby solve.
@@ -53,7 +51,6 @@ class EigenProblem:
     t: int
     tol: float = 0.0
     seed: object = None
-    maxiter: Optional[int] = None
     v0: Optional[np.ndarray] = None
     want_vectors: bool = True
 
@@ -108,7 +105,7 @@ class MatvecCounter(spla.LinearOperator):
     """Transparent operator wrapper counting matvec-equivalents.
 
     Block applications of width ``m`` count as ``m`` matvecs, so counts
-    are comparable between Lanczos (vector) and LOBPCG (block) backends.
+    stay comparable whichever way a solver applies the operator.
     """
 
     def __init__(self, operand) -> None:

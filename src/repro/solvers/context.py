@@ -116,8 +116,8 @@ class SolverContext:
     method:
         ``"auto"`` or a registered backend key; the per-problem dispatch
         still applies the shared fallback rules (dense below the cutoff,
-        ARPACK/lobpcg size constraints).
-    tol, seed, maxiter:
+        ARPACK's size constraint).
+    tol, seed:
         Passed to every solve (determinism comes from ``seed``).
     warm_start:
         Reuse each solve's Ritz block to seed the next solve of the same
@@ -133,14 +133,12 @@ class SolverContext:
         method: str = "auto",
         tol: float = 0.0,
         seed=0,
-        maxiter: Optional[int] = None,
         warm_start: bool = True,
         max_workers: Optional[int] = None,
     ) -> None:
         self.method = method
         self.tol = float(tol)
         self.seed = seed
-        self.maxiter = maxiter
         self.warm_start = bool(warm_start)
         self.max_workers = max_workers
         self.stats = SolverStats()
@@ -182,10 +180,6 @@ class SolverContext:
         if vectors.ndim == 2 and vectors.shape[0] >= 1:
             self._warm_blocks[vectors.shape[0]] = vectors
 
-    def invalidate(self) -> None:
-        """Drop all cached warm-start state (keeps statistics)."""
-        self._warm_blocks.clear()
-
     # ------------------------------------------------------------------ #
     # Target tolerance (the trust-region ladder's knob)
     # ------------------------------------------------------------------ #
@@ -225,7 +219,6 @@ class SolverContext:
             t,
             tol=self.tol,
             seed=self.seed,
-            maxiter=self.maxiter,
             v0=v0,
             want_vectors=want_vectors,
         )

@@ -1,10 +1,10 @@
 """The eigensolver backend registry and the single dispatch policy.
 
 Every eigensolve in the repository routes through this registry: call
-sites name a backend (``"dense"``, ``"lanczos"``, ``"lobpcg"``,
-``"batch"``, or ``"auto"``), and :func:`resolve_method` settles what
-actually runs for a given problem size.  Adding a solver is one
-:func:`register_backend` call; no call site changes.
+sites name a backend (``"dense"``, ``"lanczos"``, ``"batch"``, or
+``"auto"``), and :func:`resolve_method` settles what actually runs for a
+given problem size.  Adding a solver is one :func:`register_backend`
+call; no call site changes.
 
 Dispatch rules (single source of truth — callers that plan around the
 dispatch must use :func:`resolve_method` rather than re-deriving it):
@@ -12,10 +12,7 @@ dispatch must use :func:`resolve_method` rather than re-deriving it):
 * ``"auto"`` picks ``dense`` at or below :data:`DENSE_CUTOFF`, else
   ``lanczos``;
 * iterative methods fall back to ``dense`` when ARPACK's ``t < n - 1``
-  requirement is violated;
-* the block solver ``lobpcg`` falls back to ``dense`` whenever the block
-  is large relative to the problem (``5 t >= n``, scipy's documented
-  minimum lobpcg ratio).
+  requirement is violated.
 """
 
 from __future__ import annotations
@@ -26,11 +23,8 @@ from repro.utils.registry import Registry
 #: "auto" uses the exact dense solver at or below this many nodes.
 DENSE_CUTOFF = 600
 
-#: scipy's lobpcg wants the problem at least this many times the block size.
-LOBPCG_MIN_RATIO = 5
-
 #: methods that run an iterative solver (directly or via an inner backend).
-_ITERATIVE = ("lanczos", "lobpcg", "batch")
+_ITERATIVE = ("lanczos", "batch")
 
 _BACKENDS: Registry[EigenBackend] = Registry("eigensolver backend")
 register_backend = _BACKENDS.register
@@ -48,10 +42,6 @@ def resolve_method(n: int, t: int, method: str) -> str:
     """
     if method == "auto":
         method = "dense" if n <= DENSE_CUTOFF else "lanczos"
-    if method == "lobpcg" and LOBPCG_MIN_RATIO * t >= n:
-        # The block solver needs the block small relative to the problem;
-        # tiny problems are cheaper (and exact) on the dense path anyway.
-        method = "dense"
     # eigsh requires t < n; fall back to the exact dense path otherwise.
     if method in _ITERATIVE and t >= n - 1:
         method = "dense"

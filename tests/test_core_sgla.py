@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from cobyla_reference import scipy_cobyla_on_simplex
 from repro.core.laplacian import build_view_laplacians
-from repro.core.sgla import SGLA, SGLAConfig
+from repro.core.objective import SpectralObjective
+from repro.core.sgla import SGLA, SGLAConfig, prepare_laplacians
+from repro.solvers import available_backends
 from repro.utils.errors import ValidationError
 
 
@@ -24,6 +27,17 @@ class TestConfig:
     def test_invalid_t_max(self):
         with pytest.raises(ValidationError):
             SGLAConfig(t_max=0)
+
+    def test_unknown_eigen_backend_rejected(self):
+        """A name the solver registry does not know fails when the config
+        is built, and the message lists what is available."""
+        for name in ("lobpcg", "nope"):
+            with pytest.raises(ValidationError) as info:
+                SGLAConfig(eigen_backend=name)
+            for available in ("auto",) + available_backends():
+                assert available in str(info.value)
+        for name in ("auto",) + available_backends():
+            assert SGLAConfig(eigen_backend=name).eigen_backend == name
 
     def test_config_xor_overrides(self):
         with pytest.raises(ValidationError):
@@ -108,14 +122,37 @@ class TestFit:
         assert result.elapsed_seconds > 0
 
 
+def scipy_cobyla_value(mvag, config):
+    """h(w*) of SGLA's objective and budget, minimized by scipy's COBYLA."""
+    laplacians, k = prepare_laplacians(mvag, None, config)
+    objective = SpectralObjective(
+        laplacians, k=k, gamma=config.gamma, seed=config.seed
+    )
+    return scipy_cobyla_on_simplex(
+        objective,
+        r=objective.r,
+        rho_start=config.rho_start,
+        rho_end=config.eps,
+        max_evaluations=config.t_max,
+    ).value
+
+
+#: h(w*) from SGLA's own optimizer and from the scipy reference.
+OPTIMA = {
+    "trust-linear": lambda mvag, config: SGLA(config).fit(mvag).objective_value,
+    "scipy-cobyla": scipy_cobyla_value,
+}
+
+
 class TestBackends:
-    @pytest.mark.parametrize("backend", ["trust-linear", "nelder-mead",
-                                         "scipy-cobyla"])
+    """SGLA's optimizer against scipy's COBYLA on the same objective."""
+
+    @pytest.mark.parametrize("backend", ["trust-linear", "scipy-cobyla"])
     def test_all_backends_run(self, easy_mvag, backend):
-        result = SGLA(t_max=25, optimizer_backend=backend).fit(easy_mvag)
-        assert np.isfinite(result.objective_value)
+        assert np.isfinite(OPTIMA[backend](easy_mvag, SGLAConfig(t_max=25)))
 
     def test_backends_reach_similar_optima(self, easy_mvag):
-        ours = SGLA(t_max=50, optimizer_backend="trust-linear").fit(easy_mvag)
-        scipys = SGLA(t_max=50, optimizer_backend="scipy-cobyla").fit(easy_mvag)
-        assert abs(ours.objective_value - scipys.objective_value) < 0.08
+        config = SGLAConfig(t_max=50)
+        ours = OPTIMA["trust-linear"](easy_mvag, config)
+        scipys = OPTIMA["scipy-cobyla"](easy_mvag, config)
+        assert abs(ours - scipys) < 0.08

@@ -1,4 +1,4 @@
-"""Tests for the dynamic-MVAG extension (stream, incremental, lazy)."""
+"""Tests for the dynamic-MVAG extension (stream, lazy)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.core.laplacian import build_view_laplacians
 from repro.core.objective import SpectralObjective
 from repro.datasets.generator import generate_mvag
-from repro.dynamic.incremental import WarmStartObjective
 from repro.dynamic.lazy import LazySGLA
 from repro.dynamic.stream import DynamicMVAG, EdgeUpdate
 from repro.utils.errors import NotFittedError, ValidationError
@@ -208,43 +207,6 @@ class TestIncrementalKnnState:
         assert abs(streamed - expected).max() < 1e-12
 
 
-class TestWarmStartObjective:
-    def test_matches_cold_objective(self, small_dynamic):
-        dynamic, mvag = small_dynamic
-        laplacians = dynamic.view_laplacians()
-        warm = WarmStartObjective(laplacians, k=2, gamma=0.5)
-        cold = SpectralObjective(laplacians, k=2, gamma=0.5)
-        for weights in ([0.5, 0.3, 0.2], [1 / 3] * 3, [0.2, 0.2, 0.6]):
-            assert warm(np.asarray(weights)) == pytest.approx(
-                cold(np.asarray(weights)), abs=1e-4
-            )
-
-    def test_warm_start_engages_on_larger_graphs(self):
-        mvag = generate_mvag(
-            n_nodes=400,
-            n_clusters=3,
-            graph_view_strengths=[0.8, 0.3],
-            attribute_view_dims=[16],
-            seed=6,
-        )
-        laplacians = build_view_laplacians(mvag, knn_k=5)
-        warm = WarmStartObjective(laplacians, k=3, gamma=0.5)
-        warm(np.asarray([1 / 3] * 3))
-        warm(np.asarray([0.34, 0.33, 0.33]))
-        assert warm.n_warm_evaluations >= 1
-
-    def test_validation(self, small_dynamic):
-        dynamic, _ = small_dynamic
-        laplacians = dynamic.view_laplacians()
-        with pytest.raises(ValidationError):
-            WarmStartObjective([], k=2)
-        with pytest.raises(ValidationError):
-            WarmStartObjective(laplacians, k=0)
-        warm = WarmStartObjective(laplacians, k=2)
-        with pytest.raises(ValidationError):
-            warm.set_laplacians(laplacians[:1])
-
-
 class TestLazySGLA:
     def test_requires_fit(self, small_dynamic):
         dynamic, _ = small_dynamic
@@ -297,6 +259,49 @@ class TestLazySGLA:
         lazy = LazySGLA(k=2).fit(dynamic)
         laplacian = lazy.laplacian(dynamic)
         assert laplacian.shape == (dynamic.n_nodes, dynamic.n_nodes)
+
+    def test_refresh_solves_on_shared_context(self):
+        """Past the dense cutoff, a drift check that does not refit is one
+        warm-started solve in the run's own solver stats, and its value is
+        h at the current weights on the updated Laplacians."""
+        n = 700
+        mvag = generate_mvag(
+            n_nodes=n,
+            n_clusters=3,
+            graph_view_strengths=[0.85, 0.45],
+            attribute_view_dims=[16],
+            seed=3,
+        )
+        dynamic = DynamicMVAG(mvag, knn_k=5)
+        lazy = LazySGLA(k=3, drift_threshold=0.10).fit(dynamic)
+        stats = lazy.solver.stats
+        rng = np.random.default_rng(0)
+        checks = 0
+        for _ in range(4):
+            updates = []
+            while len(updates) < 20:
+                u, v = int(rng.integers(n)), int(rng.integers(n))
+                if u != v:
+                    updates.append(EdgeUpdate(view=1, u=u, v=v))
+            dynamic.apply_edge_updates(updates)
+            solves, warm = stats.solves, stats.warm_solves
+            lanczos = stats.by_backend.get("lanczos", 0)
+            report = lazy.refresh(dynamic)
+            if report.refitted:
+                continue
+            checks += 1
+            assert report.n_objective_evaluations == 1
+            assert stats.solves == solves + 1
+            assert stats.warm_solves == warm + 1
+            assert stats.by_backend["lanczos"] == lanczos + 1
+            dense = SpectralObjective(
+                dynamic.view_laplacians(), k=3, gamma=lazy.config.gamma,
+                eigen_method="dense",
+            )
+            assert report.objective_value == pytest.approx(
+                dense(report.weights), abs=1e-10
+            )
+        assert checks == 4
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,13 +1,20 @@
-"""Tests for the derivative-free optimizers (cobyla, nelder_mead, driver)."""
+"""Tests for the derivative-free optimizer (cobyla, driver), cross-checked
+against scipy's COBYLA."""
 
 import numpy as np
 import pytest
 
+from cobyla_reference import scipy_cobyla_on_simplex
 from repro.optim.cobyla import LinearTrustRegion
-from repro.optim.driver import BACKENDS, minimize_on_simplex
-from repro.optim.nelder_mead import nelder_mead_simplex
+from repro.optim.driver import minimize_on_simplex
 from repro.optim.simplex import capped_simplex_violation, project_to_simplex
 from repro.utils.errors import ValidationError
+
+#: the in-tree optimizer and the scipy reference it is checked against.
+OPTIMIZERS = {
+    "trust-linear": minimize_on_simplex,
+    "scipy-cobyla": scipy_cobyla_on_simplex,
+}
 
 
 def quadratic_full(target):
@@ -81,41 +88,13 @@ class TestLinearTrustRegion:
         assert len(result["history"]) == result["n_evaluations"]
 
 
-class TestNelderMead:
-    def test_minimizes_quadratic(self):
-        target = np.array([0.25, 0.4])
-
-        def func(u):
-            return float(np.sum((u - target) ** 2))
-
-        result = nelder_mead_simplex(func, np.array([0.1, 0.1]), xatol=1e-5,
-                                     max_evaluations=500)
-        np.testing.assert_allclose(result["x"], target, atol=1e-2)
-
-    def test_feasibility(self):
-        evaluated = []
-
-        def func(u):
-            evaluated.append(u.copy())
-            return float(-np.sum(u))  # pushes toward the sum cap
-
-        nelder_mead_simplex(func, np.array([0.4, 0.4]), max_evaluations=200)
-        for point in evaluated:
-            assert capped_simplex_violation(point) < 1e-9
-
-    def test_bad_step_rejected(self):
-        with pytest.raises(ValidationError):
-            nelder_mead_simplex(lambda u: 0.0, np.array([0.2]), initial_step=0.0)
-
-
 class TestMinimizeOnSimplex:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", sorted(OPTIMIZERS))
     def test_all_backends_reach_optimum(self, backend):
         target = project_to_simplex(np.array([0.5, 0.2, 0.3]))
-        result = minimize_on_simplex(
+        result = OPTIMIZERS[backend](
             quadratic_full(target),
             r=3,
-            backend=backend,
             rho_end=1e-5,
             max_evaluations=500,
         )
@@ -126,10 +105,6 @@ class TestMinimizeOnSimplex:
         result = minimize_on_simplex(lambda w: float(w[0]), r=1)
         np.testing.assert_allclose(result.weights, [1.0])
         assert result.n_evaluations == 1
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValidationError):
-            minimize_on_simplex(lambda w: 0.0, r=2, backend="nope")
 
     def test_x0_length_checked(self):
         with pytest.raises(ValidationError):
@@ -147,12 +122,10 @@ class TestMinimizeOnSimplex:
         """Our from-scratch optimizer matches scipy's COBYLA optimum."""
         target = np.array([0.1, 0.6, 0.3])
         ours = minimize_on_simplex(
-            quadratic_full(target), r=3, backend="trust-linear",
-            rho_end=1e-5, max_evaluations=500,
+            quadratic_full(target), r=3, rho_end=1e-5, max_evaluations=500,
         )
-        scipys = minimize_on_simplex(
-            quadratic_full(target), r=3, backend="scipy-cobyla",
-            rho_end=1e-7, max_evaluations=500,
+        scipys = scipy_cobyla_on_simplex(
+            quadratic_full(target), r=3, rho_end=1e-7, max_evaluations=500,
         )
         assert abs(ours.value - scipys.value) < 1e-2
 

@@ -42,6 +42,7 @@ from repro.serve.jobs import (
     cache_summary,
     job_config,
     payload_nbytes,
+    run_objective_group,
 )
 from repro.serve.ring import HashRing, route_key
 from repro.serve.router import Router, RouterConfig
@@ -356,6 +357,24 @@ class TestJobConfig:
             with pytest.raises(ValidationError, match=key):
                 job_config({"config": {key: 1}})
         assert job_config({"config": {"t_max": 7}}).t_max == 7
+
+    def test_unknown_eigen_backend_fails_before_caching(self):
+        """An eigen backend the registry does not know is refused while
+        the job's config is built, before any dataset is loaded or
+        cached."""
+        cache = DatasetCache(capacity=8)
+        for name in ("lobpcg", "nope"):
+            job = {
+                "kind": "objective",
+                "profile": PROFILE,
+                "weights": [0.5, 0.5],
+                "config": {"eigen_backend": name},
+            }
+            with pytest.raises(ValidationError, match="lanczos"):
+                run_objective_group([job], cache, None)
+        snapshot = cache.snapshot()
+        assert snapshot["misses"] == 0
+        assert snapshot["entries"] == 0
 
 
 # ---------------------------------------------------------------------- #

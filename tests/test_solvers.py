@@ -28,7 +28,7 @@ from repro.solvers import (
     unregister_backend,
 )
 
-ALL_BACKENDS = ("dense", "lanczos", "lobpcg", "batch")
+ALL_BACKENDS = ("dense", "lanczos", "batch")
 
 
 def running_example_laplacian(weights=(0.6, 0.4)):
@@ -65,7 +65,7 @@ class TestCrossBackendParity:
         ref_projector = ref_vectors @ ref_vectors.T
         np.testing.assert_allclose(projector, ref_projector, atol=1e-6)
 
-    @pytest.mark.parametrize("backend", ("lanczos", "lobpcg"))
+    @pytest.mark.parametrize("backend", ("lanczos",))
     def test_larger_graph_eigenvalues(self, backend):
         laplacian, _ = generated_laplacian()
         reference = bottom_eigenvalues(laplacian, 4, method="dense")
@@ -134,20 +134,6 @@ class TestDispatchPolicy:
 
     def test_near_full_spectrum_falls_back_dense(self):
         assert resolve_method(6, 5, "lanczos") == "dense"
-
-    def test_lobpcg_small_block_ratio_falls_back_dense(self):
-        """Blocks in scipy's t >= n/5 territory go dense instead of
-        tripping lobpcg's small-problem fragility."""
-        assert resolve_method(24, 5, "lobpcg") == "dense"
-        assert resolve_method(1000, 4, "lobpcg") == "lobpcg"
-
-    def test_lobpcg_small_n_end_to_end(self):
-        """The old per-caller guard is now the registry's job: a tiny
-        lobpcg request runs (via dense) and is still correct."""
-        laplacian = running_example_laplacian()
-        reference = bottom_eigenvalues(laplacian, 3, method="dense")
-        values = bottom_eigenvalues(laplacian, 3, method="lobpcg", seed=0)
-        np.testing.assert_allclose(values, reference, atol=1e-10)
 
 
 class TestBatchBackend:
@@ -309,31 +295,6 @@ class TestSolverContext:
         context.seed_block(vectors)
         context.eigenpairs(second, 4)
         assert context.stats.warm_solves == 1
-
-    def test_warm_start_objective_first_solve_is_exact_cold(self):
-        """WarmStartObjective's first (cacheless) evaluation must use the
-        exact machine-precision path, not an iteration-capped LOBPCG run
-        from a random block — and still donate its Ritz block."""
-        from repro.dynamic.incremental import WarmStartObjective
-
-        _, laplacians = generated_laplacian(n=800)
-        warm = WarmStartObjective(laplacians, k=3)
-        warm(np.array([0.5, 0.3, 0.2]))
-        # The cold solve ran outside the context...
-        assert warm.solver.stats.solves == 0
-        # ...but its block seeds the context for the next evaluation.
-        assert warm.solver.warm_block(800) is not None
-        warm(np.array([0.49, 0.31, 0.2]))
-        assert warm.n_warm_evaluations == 1
-
-    def test_invalidate_drops_warm_blocks(self):
-        _, laplacians = generated_laplacian(n=800)
-        laplacian = aggregate_laplacians(laplacians, np.array([0.5, 0.3, 0.2]))
-        context = SolverContext(method="lanczos", seed=0)
-        context.eigenpairs(laplacian, 4)
-        assert context.warm_block(laplacian.shape[0]) is not None
-        context.invalidate()
-        assert context.warm_block(laplacian.shape[0]) is None
 
     def test_objective_reports_saved_solves(self):
         """SpectralObjective's memo cache shows up in the context stats."""

@@ -116,17 +116,6 @@ class TestRhoExposure:
         )
         assert radii and radii[0] == 0.25
 
-    def test_non_trust_backends_emit_rho_start(self):
-        radii = []
-        minimize_on_simplex(
-            lambda w: float((w[0] - 0.7) ** 2),
-            r=2,
-            backend="nelder-mead",
-            rho_listener=radii.append,
-            max_evaluations=25,
-        )
-        assert radii == [0.25]
-
 
 class TestObjectiveLadder:
     def _objective(self, n=700, seed=0):
@@ -241,25 +230,6 @@ class TestSGLALadder:
             solver = SolverContext(method="lanczos", tol=1e-6, seed=0)
             solver_cls(config).fit(mvag, solver=solver)
             assert solver.tol == 1e-6
-
-    def test_non_trust_backend_ignores_ladder(self):
-        """Optimizers without a trust radius would run the whole search
-        coarse; SGLA therefore disables the ladder for them and the run
-        matches the plain fixed-tolerance run exactly."""
-        mvag = self._mvag()
-        base = SGLAConfig(
-            seed=0, eigen_backend="lanczos",
-            optimizer_backend="nelder-mead", tol_ladder=False,
-        )
-        ladder_config = SGLAConfig(
-            seed=0, eigen_backend="lanczos",
-            optimizer_backend="nelder-mead", tol_ladder=True,
-        )
-        fixed = SGLA(base).fit(mvag)
-        ladder = SGLA(ladder_config).fit(mvag)
-        np.testing.assert_array_equal(fixed.weights, ladder.weights)
-        assert ladder.solver_stats.coarse_solves == 0
-        assert fixed.objective_value == ladder.objective_value
 
     def test_sgla_plus_ladder(self):
         mvag = self._mvag()
