@@ -28,7 +28,7 @@ def main() -> None:
     # coordination) router fronts them:
     #   python -m repro.serve.router --bind 0.0.0.0:7640 \
     #       --daemons hostA:7641,hostB:7641,hostC:7641 \
-    #       --replication 2 --hedge-quantile 0.95
+    #       --replication 2
     # Here everything is local on ephemeral ports.
     with FleetManager(3, argv_extra=["--workers", "2"]) as fleet:
         print(f"fleet: {', '.join(fleet.addresses())}")

@@ -50,8 +50,7 @@ On top of single daemons sits the **replicated front tier**
 consistent-hash ring (:mod:`repro.serve.ring`) keyed by dataset
 identity so daemon caches stay warm, health-checks every daemon,
 wraps dispatch in per-daemon circuit breakers with deadline-aware
-failover and optional hedged requests
-(:mod:`repro.serve.router`), and :class:`~repro.serve.fleet.
+failover (:mod:`repro.serve.router`), and :class:`~repro.serve.fleet.
 FleetManager` owns the daemon subprocesses themselves.  Gate:
 ``benchmarks/bench_router.py`` (chaos SIGKILL mid-traffic with
 bit-identity, membership-churn remap fraction).

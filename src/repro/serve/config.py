@@ -195,34 +195,12 @@ class RouterConfig:
     health_timeout:
         Per-probe socket timeout; an unanswered probe marks the daemon
         dead until a later probe succeeds.
-    overload_depth_fraction:
-        A daemon whose probed queue depth is at or above this fraction
-        of its capacity is treated as browned out and deprioritized
-        (routed to only when every better replica is unavailable).
     breaker_failures:
         Consecutive dispatch failures that trip a daemon's circuit
         breaker from CLOSED to OPEN.
     breaker_cooldown:
         Seconds an OPEN breaker blocks dispatch before allowing one
         HALF_OPEN probe request through.
-    hedge_delay:
-        Fixed hedging trigger in seconds: an in-flight dispatch older
-        than this launches a second attempt on the next replica
-        (first response wins, the loser is cancelled via disconnect).
-        ``None`` with no quantile disables hedging.
-    hedge_quantile:
-        Adaptive trigger: hedge when the attempt exceeds this latency
-        quantile of recently completed dispatches (needs
-        ``hedge_min_samples`` observations; falls back to
-        ``hedge_delay`` below that, never faster than ``hedge_floor``).
-    hedge_min_samples:
-        Completed-dispatch observations required before the quantile
-        trigger activates.
-    hedge_floor:
-        Lower bound on any hedging trigger, so a burst of cache-hit
-        latencies cannot make the router hedge every request.
-    pool_size:
-        Idle pooled connections kept per daemon.
     default_deadline:
         Deadline applied to forwarded submits that carry none (bounds
         failover: without any deadline a dead-fleet request would walk
@@ -237,14 +215,8 @@ class RouterConfig:
     vnodes: int = 128
     health_interval: float = 0.5
     health_timeout: float = 5.0
-    overload_depth_fraction: float = 0.9
     breaker_failures: int = 3
     breaker_cooldown: float = 5.0
-    hedge_delay: Optional[float] = None
-    hedge_quantile: Optional[float] = None
-    hedge_min_samples: int = 20
-    hedge_floor: float = 0.01
-    pool_size: int = 8
     default_deadline: Optional[float] = None
     authkey: bytes = field(default=DEFAULT_AUTHKEY, repr=False)
 
@@ -278,11 +250,6 @@ class RouterConfig:
                 f"health_timeout must be positive, "
                 f"got {self.health_timeout}"
             )
-        if not 0.0 < self.overload_depth_fraction <= 1.0:
-            raise ValidationError(
-                f"overload_depth_fraction must be in (0, 1], "
-                f"got {self.overload_depth_fraction}"
-            )
         if self.breaker_failures < 1:
             raise ValidationError(
                 f"breaker_failures must be >= 1, "
@@ -293,37 +260,8 @@ class RouterConfig:
                 f"breaker_cooldown must be >= 0, "
                 f"got {self.breaker_cooldown}"
             )
-        if self.hedge_delay is not None and self.hedge_delay <= 0:
-            raise ValidationError(
-                f"hedge_delay must be positive seconds, "
-                f"got {self.hedge_delay}"
-            )
-        if self.hedge_quantile is not None and not (
-            0.0 < self.hedge_quantile < 1.0
-        ):
-            raise ValidationError(
-                f"hedge_quantile must be in (0, 1), "
-                f"got {self.hedge_quantile}"
-            )
-        if self.hedge_min_samples < 1:
-            raise ValidationError(
-                f"hedge_min_samples must be >= 1, "
-                f"got {self.hedge_min_samples}"
-            )
-        if self.hedge_floor < 0:
-            raise ValidationError(
-                f"hedge_floor must be >= 0, got {self.hedge_floor}"
-            )
-        if self.pool_size < 1:
-            raise ValidationError(
-                f"pool_size must be >= 1, got {self.pool_size}"
-            )
         if self.default_deadline is not None and self.default_deadline <= 0:
             raise ValidationError(
                 f"default_deadline must be positive seconds, "
                 f"got {self.default_deadline}"
             )
-
-    @property
-    def hedging_enabled(self) -> bool:
-        return self.hedge_delay is not None or self.hedge_quantile is not None

@@ -1,4 +1,4 @@
-"""Replicated front tier: ring routing, health, breakers, hedging.
+"""Replicated front tier: ring routing, health, breakers, failover.
 
 ``python -m repro.serve.router --daemons HOST:PORT,...`` runs a router
 process speaking the *same* framed-TCP protocol as the daemons it
@@ -14,9 +14,9 @@ Robustness machinery, per daemon:
 * an **active health checker** polls the PR 8 ``health`` endpoint every
   ``health_interval`` seconds: dead daemons (probe failure) and
   draining daemons (SIGTERM in progress) leave the rotation at the
-  next probe, and a daemon whose queue depth crosses
-  ``overload_depth_fraction`` of capacity is treated as browned out
-  and deprioritized;
+  next probe, and a daemon whose queue depth reaches
+  :data:`OVERLOAD_DEPTH_FRACTION` of capacity is treated as browned
+  out and deprioritized;
 * a **circuit breaker** (CLOSED → OPEN after ``breaker_failures``
   consecutive infrastructure failures → one HALF_OPEN probe after
   ``breaker_cooldown`` → CLOSED on success) stops the router from
@@ -26,16 +26,13 @@ Robustness machinery, per daemon:
   transport loss, ``ShardError`` replies (the daemon's compute
   substrate is broken, a sibling's may not be), overload and draining
   refusals all fail over; client errors (validation, tenant quota,
-  global deadline) propagate immediately;
-* optional **hedged requests**: when an attempt outlives the hedging
-  trigger (a fixed delay or an adaptive latency quantile), the same
-  job is launched on the next replica; the first reply wins and the
-  loser's socket is shut down, which the daemon's MSG_PEEK disconnect
-  probe turns into a cancellation — hedges bound tail latency without
-  doubling work on the happy path.
+  global deadline) propagate immediately.
+
+Each dispatch is one synchronous request/reply on one pooled socket,
+made by the failover loop in :meth:`Router._route`.
 
 Every decision is counted in a :class:`RouteStats`
-(failovers, hedges, breaker transitions, per-daemon outcomes), and the
+(failovers, breaker transitions, per-daemon outcomes), and the
 router's ``health`` op aggregates the whole fleet — queue depths,
 breaker states, per-daemon stats — which ``repro.cli serve-stats``
 renders.  All daemons are deterministic (PR 8's bit-identity
@@ -48,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import queue as queue_module
 import signal
 import socket
 import sys
@@ -93,20 +89,27 @@ TRANSPORT_ERRORS = (
     EOFError,
 )
 
-#: dispatch latency samples kept for the hedging quantile.
+#: dispatch latency samples kept for the ``route:`` line's p50/p99.
 LATENCY_SAMPLES = 512
+
+#: a daemon whose probed queue depth is at least this fraction of its
+#: capacity is browned out: sorted after healthy replicas, still eligible.
+OVERLOAD_DEPTH_FRACTION = 0.9
+
+#: idle pooled dispatch connections kept per daemon.
+POOL_SIZE = 8
 
 #: breaker states.
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
 
 _COUNTERS = (
-    "requests", "completed", "failed", "failovers", "hedges_launched",
-    "hedges_won", "hedges_cancelled", "breaker_opens", "breaker_probes",
-    "breaker_closes", "breaker_rejections", "skipped_unhealthy",
-    "no_replica",
+    "requests", "completed", "failed", "failovers", "breaker_opens",
+    "breaker_probes", "breaker_closes", "breaker_rejections",
+    "skipped_unhealthy", "no_replica",
 )
 
-_DAEMON_COUNTERS = ("routed", "completed", "failed", "cancelled_hedges")
+#: per daemon, every ``routed`` dispatch ends ``completed`` or ``failed``.
+_DAEMON_COUNTERS = ("routed", "completed", "failed")
 
 
 class RouteStats:
@@ -114,7 +117,7 @@ class RouteStats:
 
     Same conventions as ``ServeStats``: thread-safe counters observable
     end to end, a wire :meth:`snapshot`, a one-line ``summary()``, and a
-    bounded dispatch-latency reservoir (the hedging quantile's input).
+    bounded dispatch-latency reservoir (the snapshot's p50/p99).
     """
 
     def __init__(self) -> None:
@@ -143,12 +146,6 @@ class RouteStats:
         with self._lock:
             self._latencies.append(float(seconds))
 
-    def latency_quantile(self, q: float) -> Tuple[float, int]:
-        """``(value, sample_count)`` of the ``q`` in (0,1) quantile."""
-        with self._lock:
-            samples = list(self._latencies)
-        return percentile(samples, q * 100.0), len(samples)
-
     def snapshot(self) -> dict:
         with self._lock:
             payload = {name: getattr(self, name) for name in _COUNTERS}
@@ -171,9 +168,7 @@ class RouteStats:
             f"{snap['requests']} requests over "
             f"{len(snap['daemons'])} daemon(s), "
             f"{snap['completed']} completed, {snap['failed']} failed, "
-            f"{snap['failovers']} failovers, "
-            f"{snap['hedges_launched']} hedged "
-            f"({snap['hedges_won']} won), breakers "
+            f"{snap['failovers']} failovers, breakers "
             f"{snap['breaker_opens']} opened / "
             f"{snap['breaker_closes']} closed; dispatch "
             f"p50 {snap['dispatch_p50_ms']:.1f}ms / "
@@ -185,9 +180,10 @@ class CircuitBreaker:
     """Per-daemon breaker: CLOSED → OPEN → HALF_OPEN probe → CLOSED.
 
     Only *infrastructure* failures count (transport loss, ``ShardError``
-    replies); admission refusals and client errors never trip it.  The
-    HALF_OPEN state admits exactly one concurrent probe — a recovering
-    daemon sees a single request, not the thundering herd.
+    replies); admission refusals and client errors never trip it.  A
+    probe is granted only while no other dispatch to the daemon is in
+    flight, so HALF_OPEN admits exactly one concurrent request — a
+    recovering daemon sees a single request, not the thundering herd.
     """
 
     def __init__(
@@ -205,48 +201,49 @@ class CircuitBreaker:
         self.state = CLOSED
         self._consecutive = 0
         self._opened_at = 0.0
-        self._probing = False
+        self._inflight = 0  # slots granted by allow() and not yet settled
+
+    def _probe_ready(self) -> bool:
+        """Lock held: may a non-CLOSED breaker grant its probe now?"""
+        if self._inflight:
+            return False
+        if self.state == OPEN:
+            return self._clock() - self._opened_at >= self.cooldown
+        return True  # HALF_OPEN with its probe settled
 
     def would_allow(self) -> bool:
         """Non-mutating routing check (candidate ordering)."""
         with self._lock:
-            if self.state == CLOSED:
-                return True
-            if self.state == OPEN:
-                return self._clock() - self._opened_at >= self.cooldown
-            return not self._probing  # HALF_OPEN: one probe slot
+            return self.state == CLOSED or self._probe_ready()
 
     def allow(self) -> bool:
-        """Claim a dispatch slot (mutating; pair with record_*)."""
+        """Claim a dispatch slot (mutating; settle it with exactly one
+        of record_success / record_failure / release_probe)."""
         with self._lock:
-            if self.state == CLOSED:
-                return True
-            if self.state == OPEN:
-                if self._clock() - self._opened_at < self.cooldown:
+            if self.state != CLOSED:
+                if not self._probe_ready():
                     if self.stats is not None:
                         self.stats.bump("breaker_rejections")
                     return False
                 self.state = HALF_OPEN
-                self._probing = True
                 if self.stats is not None:
                     self.stats.bump("breaker_probes")
-                return True
-            if self._probing:
-                if self.stats is not None:
-                    self.stats.bump("breaker_rejections")
-                return False
-            self._probing = True
-            if self.stats is not None:
-                self.stats.bump("breaker_probes")
+            self._inflight += 1
             return True
+
+    def _settle(self) -> None:
+        # Clamped at zero: a record_* call with no grant behind it
+        # (forcing a breaker open by hand) must not bank a credit that
+        # would later admit a second probe beside the first.
+        self._inflight = max(0, self._inflight - 1)
 
     def record_success(self) -> None:
         with self._lock:
+            self._settle()
             if self.state != CLOSED and self.stats is not None:
                 self.stats.bump("breaker_closes")
             self.state = CLOSED
             self._consecutive = 0
-            self._probing = False
 
     def release_probe(self) -> None:
         """Neutral outcome: free a slot claimed by :meth:`allow` without
@@ -254,17 +251,17 @@ class CircuitBreaker:
 
         Every ``allow()`` must be balanced by exactly one of
         ``record_success`` / ``record_failure`` / ``release_probe``, or
-        a HALF_OPEN probe slot stays claimed forever and the daemon is
-        permanently excluded from routing.  The neutral cases: admission
-        refusals (draining/overloaded), typed client errors (validation,
-        quota, deadline — they say nothing about the daemon), and a
-        hedge loser cancelled by the race winner.  Idempotent and safe
-        after a record_* call (``_probing`` is already clear)."""
+        the slot stays claimed forever and, once the breaker opens, the
+        daemon is permanently excluded from routing.  The neutral cases:
+        admission refusals (draining/overloaded) and typed client errors
+        (validation, quota, deadline — they say nothing about the
+        daemon)."""
         with self._lock:
-            self._probing = False
+            self._settle()
 
     def record_failure(self) -> None:
         with self._lock:
+            self._settle()
             self._consecutive += 1
             if self.state == HALF_OPEN or (
                 self.state == CLOSED and self._consecutive >= self.failures
@@ -273,7 +270,6 @@ class CircuitBreaker:
                     self.stats.bump("breaker_opens")
                 self.state = OPEN
                 self._opened_at = self._clock()
-                self._probing = False
             elif self.state == OPEN:
                 # A straggler failure while already open: refresh the
                 # cooldown so a dead daemon is not probed every failure.
@@ -295,9 +291,9 @@ class DaemonHealth:
         self.error: Optional[str] = None
         self.snapshot: Optional[dict] = None
 
-    def overloaded(self, fraction: float) -> bool:
+    def overloaded(self) -> bool:
         return self.queue_depth >= max(1, int(
-            self.queue_capacity * fraction
+            self.queue_capacity * OVERLOAD_DEPTH_FRACTION
         ))
 
 
@@ -305,15 +301,13 @@ class _Endpoint:
     """Pooled raw connections to one daemon (router side).
 
     Raw sockets, not :class:`ServeClient`: the router owns failover and
-    retry itself, and hedging cancellation needs ``shutdown()`` on a
-    socket another thread is blocked reading.
+    retry itself, so a dead socket must surface at once as a typed
+    failure, not be retried behind its back.
     """
 
-    def __init__(self, address: str, authkey: bytes, pool_size: int) -> None:
+    def __init__(self, address: str) -> None:
         parse_address(address, what="router daemon")
         self.address = address
-        self.authkey = authkey
-        self.pool_size = pool_size
         self._idle: List[socket.socket] = []
         self._lock = threading.Lock()
 
@@ -328,26 +322,13 @@ class _Endpoint:
 
     def checkin(self, sock: socket.socket) -> None:
         with self._lock:
-            if len(self._idle) < self.pool_size:
+            if len(self._idle) < POOL_SIZE:
                 self._idle.append(sock)
                 return
         self.discard(sock)
 
     @staticmethod
     def discard(sock: socket.socket) -> None:
-        try:
-            sock.close()
-        except OSError:
-            pass
-
-    @staticmethod
-    def cancel(sock: socket.socket) -> None:
-        """Wake any reader and close — the daemon's disconnect probe
-        turns this into a cancellation of the in-flight request."""
-        try:
-            sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
         try:
             sock.close()
         except OSError:
@@ -372,7 +353,7 @@ class _AttemptFailed(Exception):
 
 
 class Router:
-    """The routing core: ring placement + health + breakers + hedging.
+    """The routing core: ring placement + health + breakers + failover.
 
     Library-embeddable (tests drive it without sockets via
     :meth:`submit`); :class:`RouterDaemon` adds the TCP front.
@@ -383,8 +364,7 @@ class Router:
         self.ring = HashRing(config.daemons, vnodes=config.vnodes)
         self.stats = RouteStats()
         self._endpoints = {
-            address: _Endpoint(address, config.authkey, config.pool_size)
-            for address in config.daemons
+            address: _Endpoint(address) for address in config.daemons
         }
         self.health = {address: DaemonHealth() for address in config.daemons}
         self.breakers = {
@@ -536,24 +516,13 @@ class Router:
             if not self.breakers[address].would_allow():
                 skipped[address] = "breaker-open"
                 continue
-            if health.overloaded(self.config.overload_depth_fraction):
+            if health.overloaded():
                 brownout.append(address)
             else:
                 preferred.append(address)
         if skipped:
             self.stats.bump("skipped_unhealthy", len(skipped))
         return preferred + brownout, skipped
-
-    def _hedge_trigger(self) -> Optional[float]:
-        """Seconds after which an attempt gets a hedge (None = never)."""
-        config = self.config
-        if config.hedge_quantile is not None:
-            value, count = self.stats.latency_quantile(config.hedge_quantile)
-            if count >= config.hedge_min_samples:
-                return max(config.hedge_floor, value)
-        if config.hedge_delay is not None:
-            return max(config.hedge_floor, config.hedge_delay)
-        return None
 
     def submit(
         self,
@@ -563,7 +532,7 @@ class Router:
         priority: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Route one job; returns the serving daemon's ``ok`` reply
-        augmented with ``routed_to`` / ``failovers`` / ``hedged``.
+        augmented with ``routed_to`` / ``failovers``.
 
         ``priority`` (``"interactive"`` / ``"normal"`` / ``"batch"``)
         is forwarded verbatim to the serving daemon's priority-aware
@@ -612,7 +581,7 @@ class Router:
         idempotent = job.get("kind") in IDEMPOTENT_KINDS
         failures: Dict[str, str] = dict(skipped)
         failovers = 0
-        for position, address in enumerate(candidates):
+        for address in candidates:
             if expires_at is not None and (
                 expires_at - time.monotonic() <= 0
             ):
@@ -626,17 +595,19 @@ class Router:
             if not breaker.allow():
                 failures[address] = "breaker-open"
                 continue
-            hedge_partner = None
-            if idempotent:
-                for later in candidates[position + 1:]:
-                    if self.breakers[later].would_allow():
-                        hedge_partner = later
-                        break
+            remaining = None
+            if expires_at is not None:
+                remaining = max(0.01, expires_at - time.monotonic())
+            message = {
+                "op": "submit", "tenant": tenant,
+                "deadline": remaining, "job": job,
+            }
+            if priority is not None:
+                message["priority"] = priority
+            self.stats.bump_daemon(address, "routed")
+            started = time.monotonic()
             try:
-                reply, served_by, hedged = self._attempt(
-                    address, hedge_partner, job, tenant, expires_at,
-                    priority,
-                )
+                reply = self._wire_submit(address, message, expires_at)
             except _AttemptFailed as failed:
                 failures[address] = (
                     f"{type(failed.error).__name__}: {failed.error}"
@@ -655,13 +626,14 @@ class Router:
                 # Typed client errors (validation, quota, deadline) say
                 # nothing about the daemon's health.
                 breaker.release_probe()
+                self.stats.bump_daemon(address, "failed")
                 raise
-            self.breakers[served_by].record_success()
-            self.stats.bump_daemon(served_by, "completed")
+            self.stats.observe_latency(time.monotonic() - started)
+            breaker.record_success()
+            self.stats.bump_daemon(address, "completed")
             reply = dict(reply)
-            reply["routed_to"] = served_by
+            reply["routed_to"] = address
             reply["failovers"] = failovers
-            reply["hedged"] = hedged
             return reply
         self.stats.bump("no_replica")
         raise NoHealthyReplica(
@@ -676,7 +648,7 @@ class Router:
         )
 
     # ------------------------------------------------------------------ #
-    # Dispatch (one candidate, optionally hedged)
+    # Dispatch (one request/reply on one pooled socket)
     # ------------------------------------------------------------------ #
 
     def _wire_submit(
@@ -684,26 +656,19 @@ class Router:
         address: str,
         message: Dict[str, Any],
         expires_at: Optional[float],
-        cancel_box: Optional[dict] = None,
     ) -> Dict[str, Any]:
         """One request/reply on a pooled socket; raises typed errors.
 
         Transport failures raise :class:`_AttemptFailed` with
         ``infrastructure=True``; structured error replies are decoded
-        and classified.  ``cancel_box`` (hedging) receives the live
-        socket under ``"socks"`` so the dispatcher can shut it down
-        mid-read; a set ``"cancelled"`` flag means the error was
-        self-inflicted and must not mark the daemon unhealthy.
+        and classified.
         """
         endpoint = self._endpoints[address]
         try:
             sock = endpoint.checkout()
         except TRANSPORT_ERRORS as error:
-            if cancel_box is None or not cancel_box.get("cancelled"):
-                self.health[address].alive = False
-                self.health[address].error = (
-                    f"{type(error).__name__}: {error}"
-                )
+            self.health[address].alive = False
+            self.health[address].error = f"{type(error).__name__}: {error}"
             raise _AttemptFailed(
                 ShardError(
                     f"daemon {address} unreachable: "
@@ -712,18 +677,6 @@ class Router:
                 ),
                 infrastructure=True,
             ) from error
-        if cancel_box is not None:
-            cancel_box["socks"].append(sock)
-            if cancel_box.get("cancelled"):
-                # The race winner finished while this attempt was still
-                # connecting: its cancel sweep ran before the socket was
-                # in the box, so honour the cancellation here instead of
-                # handing the daemon a duplicate job.
-                endpoint.discard(sock)
-                raise _AttemptFailed(
-                    ServeError(f"hedge to {address} cancelled"),
-                    infrastructure=False,
-                )
         try:
             timeout = None
             if expires_at is not None:
@@ -739,10 +692,7 @@ class Router:
             )
         except TRANSPORT_ERRORS as error:
             endpoint.discard(sock)
-            cancelled = (
-                cancel_box is not None and cancel_box.get("cancelled")
-            )
-            if not cancelled and not isinstance(error, socket.timeout):
+            if not isinstance(error, socket.timeout):
                 # A deadline-bounded submit timing out is one slow job,
                 # not evidence the daemon is down: the breaker accounts
                 # for it below, and liveness stays with the active
@@ -790,156 +740,6 @@ class Router:
                 health.queue_depth = health.queue_capacity
             raise _AttemptFailed(error, infrastructure=False)
         raise error  # validation, deadline, quota: the client's problem
-
-    def _attempt(
-        self,
-        address: str,
-        hedge_partner: Optional[str],
-        job: Dict[str, Any],
-        tenant: str,
-        expires_at: Optional[float],
-        priority: Optional[str] = None,
-    ) -> Tuple[Dict[str, Any], str, bool]:
-        """Dispatch to ``address``; hedge onto ``hedge_partner`` if the
-        attempt outlives the trigger.  Returns
-        ``(reply, served_by, hedged)``."""
-
-        def message() -> Dict[str, Any]:
-            remaining = None
-            if expires_at is not None:
-                remaining = max(0.01, expires_at - time.monotonic())
-            body = {
-                "op": "submit", "tenant": tenant,
-                "deadline": remaining, "job": job,
-            }
-            if priority is not None:
-                body["priority"] = priority
-            return body
-
-        trigger = (
-            self._hedge_trigger() if hedge_partner is not None else None
-        )
-        started = time.monotonic()
-        if trigger is None:
-            reply = self._wire_submit(address, message(), expires_at)
-            self.stats.bump_daemon(address, "routed")
-            self.stats.observe_latency(time.monotonic() - started)
-            return reply, address, False
-
-        results: "queue_module.Queue" = queue_module.Queue()
-        cancel_boxes: Dict[str, dict] = {}
-
-        def run(target: str) -> None:
-            box = cancel_boxes[target]
-            try:
-                results.put(
-                    (target, self._wire_submit(
-                        address=target,
-                        message=message(),
-                        expires_at=expires_at,
-                        cancel_box=box,
-                    ), None)
-                )
-            except BaseException as error:
-                results.put((target, None, error))
-
-        def launch(target: str) -> threading.Thread:
-            cancel_boxes[target] = {"socks": [], "cancelled": False}
-            self.stats.bump_daemon(target, "routed")
-            thread = threading.Thread(
-                target=run, args=(target,),
-                name="repro-router-dispatch", daemon=True,
-            )
-            thread.start()
-            return thread
-
-        launch(address)
-        launched = [address]
-        settled: set = set()
-        outcome: Dict[str, Any] = {}
-        primary_error: Optional[BaseException] = None
-        pending = 1
-        hedged = False
-        hedge_armed = True
-        while pending:
-            timeout = None
-            if hedge_armed and len(launched) == 1:
-                timeout = trigger - (time.monotonic() - started)
-                if timeout <= 0:
-                    # Trigger passed: claim a breaker slot for the
-                    # partner — allow(), not would_allow(), so a
-                    # recovering daemon sees one HALF_OPEN probe, never
-                    # a herd of hedges.  Denied (e.g. another request's
-                    # probe is in flight): skip hedging and wait freely.
-                    hedge_armed = False
-                    if self.breakers[hedge_partner].allow():
-                        self.stats.bump("hedges_launched")
-                        hedged = True
-                        launch(hedge_partner)
-                        launched.append(hedge_partner)
-                        pending += 1
-                    continue
-            try:
-                target, reply, error = results.get(timeout=timeout)
-            except queue_module.Empty:
-                continue  # hedge trigger loop re-evaluates
-            pending -= 1
-            settled.add(target)
-            if reply is not None:
-                outcome = {"reply": reply, "served_by": target}
-                break
-            if target == address:
-                primary_error = error
-            else:
-                # The hedge partner failed on its own: settle the slot
-                # its launch claimed against its breaker.
-                if (
-                    isinstance(error, _AttemptFailed)
-                    and error.infrastructure
-                ):
-                    self.breakers[target].record_failure()
-                else:
-                    self.breakers[target].release_probe()
-                self.stats.bump_daemon(target, "failed")
-        if outcome:
-            served_by = outcome["served_by"]
-            if served_by != address:
-                # The hedge won; _route only sees the winner, so settle
-                # the primary's breaker slot here — a real failure
-                # counts, a cancellation is neutral.
-                if (
-                    isinstance(primary_error, _AttemptFailed)
-                    and primary_error.infrastructure
-                ):
-                    self.breakers[address].record_failure()
-                    self.stats.bump_daemon(address, "failed")
-                else:
-                    self.breakers[address].release_probe()
-            # Cancel the loser(s) still in flight: shut their sockets so
-            # the daemon's disconnect probe reclaims the abandoned work.
-            # (A loser that already settled with a failure was accounted
-            # above and has nothing left to cancel.)
-            for target in launched:
-                if target == served_by or target in settled:
-                    continue
-                box = cancel_boxes.get(target, {})
-                box["cancelled"] = True
-                for sock in box.get("socks", []):
-                    _Endpoint.cancel(sock)
-                if target != address:
-                    # A cancelled hedge is neutral for its breaker.
-                    self.breakers[target].release_probe()
-                self.stats.bump("hedges_cancelled")
-                self.stats.bump_daemon(target, "cancelled_hedges")
-            if hedged and served_by != address:
-                self.stats.bump("hedges_won")
-            self.stats.observe_latency(time.monotonic() - started)
-            return outcome["reply"], served_by, hedged
-        # Both attempts failed.  The primary always settles before
-        # pending hits zero, so classify through its error — _route owns
-        # the primary's breaker accounting; the partner's happened above.
-        assert primary_error is not None
-        raise primary_error
 
     # ------------------------------------------------------------------ #
     # Fleet aggregation (the serve-stats view)
@@ -1083,10 +883,6 @@ def main(argv: Optional[list] = None) -> int:
                         help="consecutive failures that open a breaker")
     parser.add_argument("--breaker-cooldown", type=float, default=5.0,
                         help="seconds an open breaker blocks dispatch")
-    parser.add_argument("--hedge-delay", type=float, default=None,
-                        help="fixed hedging trigger in seconds")
-    parser.add_argument("--hedge-quantile", type=float, default=None,
-                        help="adaptive hedging latency quantile in (0,1)")
     parser.add_argument("--default-deadline", type=float, default=None,
                         help="deadline applied to submits carrying none")
     parser.add_argument("--drain-grace", type=float, default=30.0,
@@ -1108,8 +904,6 @@ def main(argv: Optional[list] = None) -> int:
             health_timeout=args.health_timeout,
             breaker_failures=args.breaker_failures,
             breaker_cooldown=args.breaker_cooldown,
-            hedge_delay=args.hedge_delay,
-            hedge_quantile=args.hedge_quantile,
             default_deadline=args.default_deadline,
             authkey=resolve_authkey(args.authkey),
         )

@@ -2,16 +2,17 @@
 
 Live in-process daemons behind a :class:`~repro.serve.router.Router`:
 cache-affine placement, health-checked failover with bit-identical
-results, circuit-breaker transitions, hedged requests with loser
-cancellation, error-class propagation (quota / validation pass through,
-infrastructure fails over), the ``NoHealthyReplica`` loud-failure
-contract, and the :class:`RouterDaemon` TCP front speaking the
-unmodified client protocol.
+results, circuit-breaker transitions, brownout ordering, error-class
+propagation (quota / validation pass through, infrastructure fails
+over), per-daemon dispatch accounting, the ``NoHealthyReplica``
+loud-failure contract, and the :class:`RouterDaemon` TCP front
+speaking the unmodified client protocol.
 """
 
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 import time
 
@@ -29,6 +30,7 @@ from repro.serve import (
     ServeDaemon,
     ServerDraining,
 )
+from repro.serve import router as router_module
 from repro.serve.ring import HashRing, route_key
 from repro.serve.router import (
     CLOSED,
@@ -65,8 +67,8 @@ def wait_for(predicate, timeout=10.0, interval=0.01) -> bool:
 @pytest.fixture()
 def fleet():
     # Result caching off: these tests exercise routing mechanics by
-    # re-submitting the identical job (hedging/failover tests park the
-    # workers and rely on the repeat actually executing); with the
+    # re-submitting the identical job (failover tests rely on the
+    # repeat actually executing on the replica it lands on); with the
     # cache on, the daemon would answer it from memory instantly.
     daemons = []
     for _ in range(3):
@@ -185,143 +187,22 @@ class TestRouting:
             assert "dead" in str(excinfo.value)
             assert router.stats.snapshot()["no_replica"] == 2
 
-
-# ---------------------------------------------------------------------- #
-# Hedging
-# ---------------------------------------------------------------------- #
-
-class TestHedging:
-    def test_hedge_wins_and_loser_is_cancelled(self, fleet):
-        addrs = [d.address for d in fleet]
-        ring = HashRing(addrs)
-        primary_addr, secondary_addr = ring.lookup(route_key(JOB), 2)
-        primary = fleet[addrs.index(primary_addr)]
-        config = router_config(
-            fleet, hedge_delay=0.25, health_interval=30.0
-        )
-        with Router(config) as router:
-            warm = router.submit(make_job())  # both caches stay cold-safe
-            assert warm["routed_to"] == primary_addr
-            assert primary.hold_workers()
-            reply = router.submit(make_job())
-            assert reply["hedged"] is True
-            assert reply["routed_to"] == secondary_addr
-            assert reply["result"]["value"] == warm["result"]["value"]
-            snap = router.stats.snapshot()
-            assert snap["hedges_launched"] == 1
-            assert snap["hedges_won"] == 1
-            assert snap["hedges_cancelled"] == 1
-            # self-inflicted cancellation must not mark the primary dead
-            assert router.health[primary_addr].alive is True
-            # the daemon reclaims the abandoned queued entry
-            assert wait_for(
-                lambda: primary.stats.total("cancelled") >= 1
-            )
-            primary.worker_gate.set()
-
-    def test_no_hedge_under_trigger(self, fleet):
-        config = router_config(fleet, hedge_delay=30.0)
-        with Router(config) as router:
-            reply = router.submit(make_job())
-            assert reply["hedged"] is False
-            assert router.stats.snapshot()["hedges_launched"] == 0
-
-    def test_hedge_launch_claims_breaker_probe(self, fleet):
-        # A hedge onto a recovering daemon (OPEN past cooldown) must go
-        # through allow() — claiming the single HALF_OPEN probe slot —
-        # and its win must be recorded as the partner's recovery.
-        addrs = [d.address for d in fleet]
-        ring = HashRing(addrs)
-        primary_addr, secondary_addr = ring.lookup(route_key(JOB), 2)
-        primary = fleet[addrs.index(primary_addr)]
-        config = router_config(
-            fleet, hedge_delay=0.25, health_interval=30.0
-        )
-        with Router(config) as router:
-            warm = router.submit(make_job())
-            assert warm["routed_to"] == primary_addr
-            partner = router.breakers[secondary_addr]
-            partner.record_failure()
-            partner.record_failure()
-            assert partner.state == OPEN
-            partner._opened_at -= 10.0  # cooldown elapsed: probe-ready
-            assert primary.hold_workers()
-            reply = router.submit(make_job())
-            assert reply["routed_to"] == secondary_addr
-            assert reply["hedged"] is True
-            assert partner.state == CLOSED  # probe succeeded: recovered
-            snap = router.stats.snapshot()
-            assert snap["breaker_probes"] == 1
-            assert snap["breaker_closes"] == 1
-            primary.worker_gate.set()
-
-    def test_hedge_skipped_when_partner_probe_claimed(self, fleet):
-        # The partner passes would_allow() at candidate selection, but
-        # another request claims its single HALF_OPEN probe before the
-        # hedge trigger fires: the launch-time allow() must deny the
-        # hedge entirely, never dispatch on the stale would_allow()
-        # (the thundering-herd hole).
-        addrs = [d.address for d in fleet]
-        ring = HashRing(addrs)
-        primary_addr, secondary_addr = ring.lookup(route_key(JOB), 2)
-        primary = fleet[addrs.index(primary_addr)]
-        config = router_config(
-            fleet, hedge_delay=0.2, health_interval=30.0
-        )
-        with Router(config) as router:
-            warm = router.submit(make_job())
-            assert warm["routed_to"] == primary_addr
-            partner = router.breakers[secondary_addr]
-            partner.record_failure()
-            partner.record_failure()
-            partner._opened_at -= 10.0
-            assert partner.would_allow()  # selectable as hedge partner
-            assert primary.hold_workers()
-            claim = threading.Timer(0.05, partner.allow)
-            release = threading.Timer(0.4, primary.worker_gate.set)
-            claim.start()
-            release.start()
-            try:
-                reply = router.submit(make_job())
-            finally:
-                claim.cancel()
-                release.cancel()
-                primary.worker_gate.set()
-            assert reply["routed_to"] == primary_addr
-            assert reply["hedged"] is False
-            snap = router.stats.snapshot()
-            assert snap["hedges_launched"] == 0
-            assert snap["breaker_rejections"] >= 1
-            assert partner.state == HALF_OPEN  # probe slot untouched
-            assert not partner.would_allow()
-
-    def test_cancelled_hedge_aborts_before_dispatch(self, fleet):
-        # The winner can finish while the loser is still connecting: the
-        # cancel sweep misses the not-yet-boxed socket, so _wire_submit
-        # itself must honour the flag before sending the duplicate job.
-        with Router(router_config(fleet, health_interval=30.0)) as router:
-            address = fleet[0].address
-            box = {"socks": [], "cancelled": True}
-            with pytest.raises(_AttemptFailed) as excinfo:
-                router._wire_submit(
-                    address, {"op": "ping"}, expires_at=None,
-                    cancel_box=box,
-                )
-            assert excinfo.value.infrastructure is False
-            # self-inflicted: the daemon must not be marked dead
-            assert router.health[address].alive is True
-
-    def test_quantile_trigger_needs_samples(self, fleet):
-        config = router_config(
-            fleet, hedge_quantile=0.95, hedge_min_samples=5
-        )
-        with Router(config) as router:
-            assert router._hedge_trigger() is None  # no samples yet
-            for _ in range(5):
-                router.stats.observe_latency(0.02)
-            trigger = router._hedge_trigger()
-            assert trigger is not None
-            assert trigger >= config.hedge_floor
+    def test_browned_out_replica_sorts_last_but_stays_eligible(self):
+        # A replica whose probed queue is at least 90% full goes after a
+        # healthy one, but is still a candidate: slow beats nothing.
+        daemons = ("127.0.0.1:7001", "127.0.0.1:7002", "127.0.0.1:7003")
+        router = Router(RouterConfig(daemons=daemons, replication=2))
+        try:
+            key = route_key(JOB)
+            primary, secondary = router.ring.lookup(key, 2)
+            health = router.health[primary]
+            health.queue_capacity = 10
+            health.queue_depth = 9
+            assert router._candidates(key) == ([secondary, primary], {})
+            health.queue_depth = 8
+            assert router._candidates(key) == ([primary, secondary], {})
+        finally:
+            router.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -380,8 +261,8 @@ class TestCircuitBreaker:
         assert breaker.state == CLOSED  # failures were not consecutive
 
     def test_release_probe_frees_half_open_slot(self):
-        # A neutral outcome (refusal, client error, cancelled hedge)
-        # must return the probe slot; otherwise the breaker wedges in
+        # A neutral outcome (admission refusal, client error) must
+        # return the probe slot; otherwise the breaker wedges in
         # HALF_OPEN and the daemon is excluded from routing forever.
         clock = [0.0]
         breaker = CircuitBreaker(
@@ -398,6 +279,65 @@ class TestCircuitBreaker:
         breaker.record_success()
         assert breaker.state == CLOSED
 
+    def test_straggler_release_cannot_free_the_probe_slot(self):
+        # A slot granted while CLOSED may settle after the breaker has
+        # opened.  No probe goes out while it is in flight, so its
+        # neutral release cannot free a probe slot another request
+        # holds (regression: a second concurrent probe got through).
+        clock = [0.0]
+        breaker = CircuitBreaker(
+            failures=1, cooldown=1.0, clock=lambda: clock[0]
+        )
+        assert breaker.allow()  # the straggler
+        assert breaker.allow()
+        breaker.record_failure()  # the second request fails: OPEN
+        clock[0] = 1.5
+        assert not breaker.would_allow()  # the straggler is still out
+        assert not breaker.allow()
+        breaker.release_probe()  # it comes back with a client error
+        assert breaker.allow()  # the probe
+        assert breaker.state == HALF_OPEN
+        assert not breaker.allow()  # and only one
+
+    def test_concurrent_settles_leave_no_slot_claimed(self):
+        # More threads than cores claim and settle slots while failures
+        # open the breaker and successes close it under them.  With a
+        # tiny switch interval, a lost update on the slot count would
+        # leave it above zero or wedge the breaker until the workers
+        # time out.
+        breaker = CircuitBreaker(failures=2, cooldown=0.0)
+        outcomes = (
+            breaker.record_success, breaker.record_success,
+            breaker.record_failure, breaker.release_probe,
+        )
+        settled = [0] * 8
+
+        def worker(seed):
+            limit = time.monotonic() + 30.0  # a wedged breaker ends it
+            while settled[seed] < 1000 and time.monotonic() < limit:
+                if breaker.allow():
+                    time.sleep(0)  # hold the slot while others run
+                    outcomes[(seed + settled[seed]) % len(outcomes)]()
+                    settled[seed] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert settled == [1000] * 8
+        assert breaker._inflight == 0
+        assert breaker.would_allow()
+
     def test_release_probe_harmless_after_verdict(self):
         clock = [0.0]
         breaker = CircuitBreaker(
@@ -407,7 +347,7 @@ class TestCircuitBreaker:
         clock[0] = 1.5
         assert breaker.allow()
         breaker.record_failure()  # probe verdict: still broken
-        breaker.release_probe()  # e.g. a cancel sweep after the fact
+        breaker.release_probe()  # a stray release after the verdict
         assert breaker.state == OPEN
         assert not breaker.allow()  # cooldown restarted, not bypassed
 
@@ -426,6 +366,25 @@ class TestCircuitBreaker:
             assert reply["result"]["value"] == first["result"]["value"]
             assert router.breakers[victim_addr].state == OPEN
             assert router.stats.snapshot()["breaker_opens"] == 1
+
+    def test_every_routed_dispatch_is_settled(self, fleet):
+        # Per daemon, each dispatch the router sends ends completed or
+        # failed, the one a failover abandons included.
+        with Router(router_config(fleet, health_interval=30.0)) as router:
+            first = router.submit(make_job())
+            victim = next(
+                d for d in fleet if d.address == first["routed_to"]
+            )
+            victim.stop(drain=False)
+            assert router.submit(make_job())["failovers"] == 1
+            daemons = router.stats.snapshot()["daemons"]
+            assert daemons[victim.address] == {
+                "routed": 2, "completed": 1, "failed": 1,
+            }
+            for counts in daemons.values():
+                assert counts["routed"] == (
+                    counts["completed"] + counts["failed"]
+                )
 
     def test_half_open_probe_survives_admission_refusal(self, fleet):
         # A HALF_OPEN probe answered with a draining/overloaded refusal
@@ -533,17 +492,20 @@ class TestRouteStats:
         stats = RouteStats()
         for ms in range(1, 101):
             stats.observe_latency(ms / 1000.0)
-        value, count = stats.latency_quantile(0.95)
-        assert count == 100
-        assert 0.090 <= value <= 0.100
+        snap = stats.snapshot()
+        # nearest rank over 1..100 ms: ranks 50 and 98 of 0..99
+        assert snap["dispatch_p50_ms"] == pytest.approx(51.0)
+        assert snap["dispatch_p99_ms"] == pytest.approx(99.0)
 
     def test_latency_reservoir_keeps_the_newest_samples(self):
         stats = RouteStats()
         for ms in range(LATENCY_SAMPLES + 100):
             stats.observe_latency(ms / 1000.0)
-        value, count = stats.latency_quantile(0.0)
-        assert count == LATENCY_SAMPLES
-        assert value == 0.1  # the 100 oldest samples were dropped
+        snap = stats.snapshot()
+        # The 100 oldest samples were dropped: the reservoir holds
+        # 100..611 ms, whose nearest-rank p50/p99 are ranks 256 and 506.
+        assert snap["dispatch_p50_ms"] == pytest.approx(356.0)
+        assert snap["dispatch_p99_ms"] == pytest.approx(606.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -669,20 +631,22 @@ class TestConfigValidation:
             dict(replication=0),
             dict(vnodes=0),
             dict(health_interval=0),
-            dict(overload_depth_fraction=1.5),
             dict(breaker_failures=0),
-            dict(hedge_delay=-1.0),
-            dict(hedge_quantile=1.0),
-            dict(pool_size=0),
             dict(default_deadline=0),
         ):
             with pytest.raises(ValidationError):
                 RouterConfig(daemons=good, **bad)
 
-    def test_hedging_enabled_property(self):
-        good = ("127.0.0.1:7000",)
-        assert not RouterConfig(daemons=good).hedging_enabled
-        assert RouterConfig(daemons=good, hedge_delay=0.1).hedging_enabled
-        assert RouterConfig(
-            daemons=good, hedge_quantile=0.9
-        ).hedging_enabled
+    def test_hedge_flags_removed(self):
+        # Hedged requests were measured and deleted: neither the CLI
+        # flag nor the config field exists any more.  (The bad
+        # replication makes a router that still parsed the flag return
+        # at once instead of serving forever.)
+        with pytest.raises(SystemExit) as excinfo:
+            router_module.main([
+                "--daemons", "127.0.0.1:7000", "--replication", "0",
+                "--hedge-delay", "0.1",
+            ])
+        assert excinfo.value.code == 2
+        with pytest.raises(TypeError):
+            RouterConfig(daemons=("127.0.0.1:7000",), hedge_delay=0.1)
