@@ -75,13 +75,8 @@ ARI_MARGIN = 0.02
 
 #: ladder configuration of every multilevel run in this bench: landmark
 #: coarsening shrinks ~4x per rung, so the hierarchy build stays a few
-#: percent of the fit even at n=10^6 (heavy-edge's slowly-shrinking
-#: early rungs measurably dominate at this scale — DESIGN.md §12).
-COARSEN_KWARGS = dict(
-    coarsen_levels=10,
-    coarsen_backend="landmark",
-    coarsen_params={"ratio": 0.25},
-)
+#: percent of the fit even at n=10^6 (DESIGN.md §12).
+COARSEN_KWARGS = dict(coarsen_levels=10)
 
 
 def _generate(path: Path, n: int):

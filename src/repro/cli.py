@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.coarsen import available_backends as available_coarsen_backends
 from repro.core.integration import INTEGRATION_METHODS
 from repro.core.pipeline import cluster_mvag, embed_mvag
 from repro.core.sgla import SGLAConfig
@@ -182,18 +181,10 @@ def _add_solver_args(subparser) -> None:
         type=int,
         default=0,
         metavar="LEVELS",
-        help="depth of the multilevel ladder (repro.coarsen): Galerkin-"
+        help="depth of the multilevel ladder (repro.coarsen): landmark-"
         "coarsen the view Laplacians up to LEVELS rungs, optimize the "
         "view weights at the coarsest level, then polish at full size "
         "with prolonged warm starts (0 = flat path, the default)",
-    )
-    subparser.add_argument(
-        "--coarsen-backend",
-        default="heavy-edge",
-        choices=available_coarsen_backends(),
-        help="coarsening strategy from the repro.coarsen registry "
-        "('heavy-edge' mutual matching; 'landmark' Nystrom-style "
-        "sampling); requires --coarsen >= 1",
     )
 
 
@@ -210,7 +201,6 @@ def _solver_config(args, **extra) -> SGLAConfig:
         shard_retries=args.shard_retries,
         shard_deadline=args.shard_deadline,
         coarsen_levels=args.coarsen,
-        coarsen_backend=args.coarsen_backend,
         **extra,
     )
 

@@ -1,6 +1,6 @@
 """Graph-coarsening primitives: prolongation operators and Galerkin projection.
 
-A coarsening backend maps an ``n``-node multi-view problem onto an
+One coarsening step maps an ``n``-node multi-view problem onto an
 ``n_c``-node one (``n_c < n``) through a **prolongation matrix**
 ``P in R^{n x n_c}`` whose columns are the indicator vectors of node
 aggregates, normalized to unit length (``P^T P = I``).  Every view
@@ -18,15 +18,13 @@ surrogate of the fine one.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.utils.errors import ValidationError
-from repro.utils.registry import Registry
 
 
 @dataclass
@@ -35,8 +33,6 @@ class CoarsenStats:
 
     Attributes
     ----------
-    backend:
-        The coarsening backend key that built the hierarchy.
     levels:
         Node counts per level, finest first (``[n, n_1, .., n_coarsest]``).
     coarse_solves:
@@ -44,12 +40,11 @@ class CoarsenStats:
     fine_solves:
         Eigensolves performed at the finest (full-size) level.
     coarsen_seconds:
-        Wall-clock spent building the hierarchy (matching + projection).
+        Wall-clock spent building the hierarchy (aggregation + projection).
     refine_evaluations:
         Objective evaluations of the full-size refinement stage.
     """
 
-    backend: str = ""
     levels: List[int] = field(default_factory=list)
     coarse_solves: int = 0
     fine_solves: int = 0
@@ -60,71 +55,10 @@ class CoarsenStats:
         """One-line human-readable digest (used by the CLI)."""
         ladder = " -> ".join(str(n) for n in self.levels) or "flat"
         return (
-            f"{self.backend} [{ladder}] "
+            f"[{ladder}] "
             f"{self.coarse_solves} coarse / {self.fine_solves} fine "
             f"eigensolves, hierarchy {self.coarsen_seconds:.3f}s"
         )
-
-
-@dataclass(frozen=True)
-class CoarsenLevel:
-    """One rung of a coarsening hierarchy.
-
-    Attributes
-    ----------
-    prolongation:
-        ``n_fine x n_coarse`` CSR matrix with orthonormal columns mapping
-        coarse vectors up to the fine level (``v_fine = P @ v_coarse``).
-    laplacians:
-        The Galerkin-projected view Laplacians at the coarse level.
-    """
-
-    prolongation: sp.csr_matrix
-    laplacians: List[sp.csr_matrix]
-
-    @property
-    def n_fine(self) -> int:
-        return self.prolongation.shape[0]
-
-    @property
-    def n_coarse(self) -> int:
-        return self.prolongation.shape[1]
-
-
-class CoarsenBackend(abc.ABC):
-    """Interface every coarsening backend implements.
-
-    A backend only decides the node aggregation — it returns the
-    prolongation matrix; the shared :func:`galerkin_project` builds the
-    coarse Laplacians so every backend projects identically.
-    """
-
-    #: registry key (subclasses override)
-    name: str = ""
-
-    @abc.abstractmethod
-    def coarsen(
-        self,
-        laplacians: Sequence[sp.spmatrix],
-        seed: int = 0,
-        params: Optional[Mapping[str, Any]] = None,
-    ) -> sp.csr_matrix:
-        """The prolongation matrix for one coarsening step.
-
-        ``laplacians`` are the current level's view Laplacians;
-        ``params`` carries backend-specific knobs.  Implementations must
-        be deterministic for a fixed ``seed``.
-        """
-
-
-#: the coarsening backends (``"heavy-edge"``, ``"landmark"``); adding an
-#: algebraic-multigrid aggregator or a spectral sparsifier is one
-#: :func:`register_backend` call, no call-site changes.
-_BACKENDS: Registry[CoarsenBackend] = Registry("coarsen backend")
-register_backend = _BACKENDS.register
-unregister_backend = _BACKENDS.unregister
-get_backend = _BACKENDS.get
-available_backends = _BACKENDS.available
 
 
 def aggregate_similarity(laplacians: Sequence[sp.spmatrix]) -> sp.csr_matrix:
@@ -143,8 +77,8 @@ def aggregate_similarity(laplacians: Sequence[sp.spmatrix]) -> sp.csr_matrix:
     similarity = -total
     similarity.setdiag(0.0)
     similarity.eliminate_zeros()
-    # Numerical noise can leave tiny negative couplings; clip them so the
-    # matching never prefers an anti-edge.
+    # Numerical noise can leave tiny negative couplings; clip them so
+    # aggregation never follows an anti-edge.
     similarity.data[similarity.data < 0] = 0.0
     similarity.eliminate_zeros()
     return similarity.tocsr()

@@ -2,9 +2,10 @@
 
 ``multilevel_fit`` is the driver behind ``SGLAConfig.coarsen_levels > 0``:
 
-1. **Coarsen** — build up to ``coarsen_levels`` rungs with the configured
-   backend; every view Laplacian is Galerkin-projected through one shared
-   prolongation per rung, so view weights keep their meaning downstairs.
+1. **Coarsen** — build up to ``coarsen_levels`` rungs of landmark
+   aggregation; every view Laplacian is Galerkin-projected through one
+   shared prolongation per rung, so view weights keep their meaning
+   downstairs.
 2. **Optimize coarse** — run the *full* SGLA / SGLA+ machinery (fast path,
    tolerance ladder, sharded batches — everything the flat path has) on
    the coarsest level, where an eigensolve costs a fraction of a fine one.
@@ -43,14 +44,38 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.coarsen.base import CoarsenStats, galerkin_project, get_backend
+from repro.coarsen.base import (
+    CoarsenStats,
+    aggregate_similarity,
+    galerkin_project,
+    prolongation_from_aggregates,
+)
+from repro.coarsen.landmark import landmark_aggregates
 from repro.core.laplacian import aggregate_laplacians
-from repro.core.objective import _EIGENGAP_FLOOR, ladder_tolerance
+from repro.core.objective import (
+    _EIGENGAP_FLOOR,
+    ladder_tolerance,
+    objective_components,
+)
 from repro.optim.simplex import project_to_simplex
 from repro.solvers import SolverContext
 
-#: default cap on full-size eigensolves in the refinement stage.
-DEFAULT_REFINE_EVALS = 20
+#: building stops once a level has at most ``max(4 (k + 1), MIN_NODES)``
+#: nodes: eigensolves there are cheap enough that another rung only adds
+#: projection error.
+MIN_NODES = 200
+
+#: a rung that keeps at least this share of its level's nodes has
+#: stalled, and building stops.
+STALL_RATIO = 0.95
+
+#: cap on full-size eigensolves in the refinement stage.
+REFINE_EVALS = 20
+
+#: the refine stops once an accepted step moves no weight by more than
+#: ``max(eps / REFINE_XTOL_DIVISOR, REFINE_XTOL_FLOOR)``.
+REFINE_XTOL_DIVISOR = 20.0
+REFINE_XTOL_FLOOR = 1e-7
 
 #: BB step clamp (the simplex has unit diameter; steps outside this range
 #: are either noise or a degenerate curvature estimate).
@@ -83,20 +108,15 @@ class Hierarchy:
 def build_hierarchy(
     laplacians: Sequence[sp.spmatrix], k: int, config
 ) -> Hierarchy:
-    """Coarsen up to ``config.coarsen_levels`` rungs.
+    """Coarsen up to ``config.coarsen_levels`` rungs of landmark aggregation.
 
     A rung is rejected (and building stops) when it would leave fewer
     than ``k + 2`` nodes (the objective needs ``k + 1`` eigenvalues) or
-    removes less than 5% of the level's nodes (stalled matching);
-    building also stops once the level is already at or below
-    ``min_nodes`` (default ``max(4 (k + 1), 200)``), where eigensolves
-    are cheap enough that further coarsening only adds projection error.
+    keeps :data:`STALL_RATIO` or more of the level's nodes; building
+    also stops once the level is already at or below
+    ``max(4 (k + 1), MIN_NODES)`` nodes.
     """
-    params = dict(config.coarsen_params or {})
-    backend = get_backend(config.coarsen_backend)
-    min_nodes = int(params.get("min_nodes", max(4 * (k + 1), 200)))
-    min_nodes = max(min_nodes, k + 2)
-    stall = float(params.get("stall_ratio", 0.95))
+    min_nodes = max(4 * (k + 1), MIN_NODES)
 
     prolongations: List[sp.csr_matrix] = []
     current = [laplacian.tocsr() for laplacian in laplacians]
@@ -105,11 +125,12 @@ def build_hierarchy(
         n = current[0].shape[0]
         if n <= min_nodes:
             break
-        prolongation = backend.coarsen(
-            current, seed=config.seed, params=params
+        aggregates = landmark_aggregates(
+            aggregate_similarity(current), seed=config.seed
         )
+        prolongation = prolongation_from_aggregates(aggregates)
         n_coarse = prolongation.shape[1]
-        if n_coarse <= k + 1 or n_coarse >= stall * n:
+        if n_coarse <= k + 1 or n_coarse >= STALL_RATIO * n:
             break
         current = galerkin_project(current, prolongation)
         prolongations.append(prolongation)
@@ -138,17 +159,6 @@ def prolong_block(
         lifted = prolongation @ lifted
     q, _ = np.linalg.qr(lifted)
     return np.ascontiguousarray(q)
-
-
-def _objective_value(
-    eigenvalues: np.ndarray, weights: np.ndarray, k: int, gamma: float
-) -> float:
-    """``h(w)`` from solved eigenvalues — mirrors SpectralObjective."""
-    lambda_2 = float(eigenvalues[1]) if eigenvalues.size > 1 else 0.0
-    eigengap = float(eigenvalues[k - 1]) / max(
-        float(eigenvalues[k]), _EIGENGAP_FLOOR
-    )
-    return eigengap - lambda_2 + gamma * float(np.dot(weights, weights))
 
 
 def spectral_gradient(
@@ -212,7 +222,7 @@ def gradient_refine(
         matrix = aggregate_laplacians(laplacians, weights)
         tol = solver.tolerance_for(matrix.shape[0], k + 1)
         eigenvalues, vectors = solver.eigenpairs(matrix, k + 1)
-        value = _objective_value(eigenvalues, weights, k, gamma)
+        value = objective_components(eigenvalues, weights, k, gamma).value
         gradient = spectral_gradient(
             laplacians, weights, eigenvalues, vectors, k, gamma
         )
@@ -292,11 +302,8 @@ def multilevel_fit(
     """Run the coarse-then-refine ladder; returns an ``SGLAResult``.
 
     The entry point behind ``SGLA._fit`` / ``SGLAPlus._fit`` when
-    ``config.coarsen_levels > 0``; parameters mirror those methods.
-    ``coarsen_params`` knobs consumed here: ``refine_evals`` (cap on
-    full-size refine eigensolves), ``refine_xtol`` (refine termination on
-    weight movement; default ``eps / 20``), ``min_nodes``,
-    ``stall_ratio`` (the rest go to the backend).
+    ``config.coarsen_levels > 0``; parameters mirror those methods.  The
+    refine runs at most :data:`REFINE_EVALS` full-size eigensolves.
     """
     from repro.core.sgla import SGLA, SGLAResult, prepare_laplacians
     from repro.core.sgla_plus import SGLAPlus
@@ -305,8 +312,7 @@ def multilevel_fit(
         data, k, config, neighbor_stats=neighbor_stats, shard=shard
     )
     solver = solver or config.make_solver()
-    params = dict(config.coarsen_params or {})
-    stats = CoarsenStats(backend=config.coarsen_backend)
+    stats = CoarsenStats()
 
     hierarchy_start = time.perf_counter()
     hierarchy = build_hierarchy(laplacians, k, config)
@@ -317,7 +323,7 @@ def multilevel_fit(
     fitter = SGLAPlus(flat_config) if plus else SGLA(flat_config)
 
     if hierarchy.n_levels == 0:
-        # Nothing to coarsen (tiny problem or stalled matching): fall
+        # Nothing to coarsen (tiny problem or stalled aggregation): fall
         # through to the flat path on the already-built Laplacians.
         if plus:
             result = fitter._fit(
@@ -363,15 +369,14 @@ def multilevel_fit(
     if len(laplacians) == 1:
         weights = np.asarray(coarse_result.weights, dtype=np.float64)
         matrix = aggregate_laplacians(laplacians, weights)
-        value = _objective_value(
+        value = objective_components(
             solver.eigenvalues(matrix, k + 1), weights, k, config.gamma
-        )
+        ).value
         refine_history = [(weights.copy(), value)]
         n_refine = 1
         converged = True
     else:
-        xtol = float(params.get("refine_xtol", max(config.eps / 20.0, 1e-7)))
-        max_solves = int(params.get("refine_evals", DEFAULT_REFINE_EVALS))
+        xtol = max(config.eps / REFINE_XTOL_DIVISOR, REFINE_XTOL_FLOOR)
         weights, value, refine_history, n_refine, converged = gradient_refine(
             laplacians,
             k,
@@ -379,7 +384,7 @@ def multilevel_fit(
             solver,
             np.asarray(coarse_result.weights, dtype=np.float64),
             xtol=xtol,
-            max_solves=max_solves,
+            max_solves=REFINE_EVALS,
             tol_ladder=config.tol_ladder,
         )
     stats.fine_solves = solver.stats.solves - fine_before

@@ -1,41 +1,33 @@
-"""Landmark (Nyström-style) aggregation coarsening.
+"""Landmark (Nyström-style) aggregation: the ladder's one coarsener.
 
-Instead of pairing nodes, a small landmark set seeds the coarse level
-directly: ``m = ceil(ratio * n)`` landmarks are drawn (uniformly, seeded),
-each becomes one aggregate, and the remaining nodes adopt the aggregate of
-their strongest already-assigned neighbor over a few propagation sweeps —
+A small landmark set seeds the coarse level directly: ``m = ceil(ratio
+* n)`` landmarks are drawn (uniformly, seeded), each becomes one
+aggregate, and the remaining nodes adopt the aggregate of their
+strongest already-assigned neighbor over a few propagation sweeps —
 the assignment analogue of Nyström column sampling, where the landmark
 subspace stands in for the full operator.  Nodes no sweep can reach (deep
 in a region with no assigned neighbor, or isolated) survive as singleton
 aggregates so the prolongation always spans every node.
 
-Compared to ``heavy-edge``, the coarse size is *directly* controlled by
-``ratio`` — one level can jump from ``n`` to ``0.1 n``, where matching
-needs several — at the price of lumpier aggregates (landmark Voronoi
-cells instead of balanced pairs).  DESIGN.md §12 discusses when each
-wins.
+The coarse size is *directly* controlled by ``ratio``: one rung goes
+from ``n`` to about ``ratio * n`` nodes, where pairwise matching would
+need several rungs.  The aggregates are landmark Voronoi cells, lumpier
+than balanced pairs; the ladder's full-size refine polishes away the
+bias that leaves in ``w`` (DESIGN.md §12).
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Sequence
-
 import numpy as np
 import scipy.sparse as sp
 
-from repro.coarsen.base import (
-    CoarsenBackend,
-    aggregate_similarity,
-    prolongation_from_aggregates,
-    register_backend,
-)
 from repro.utils.errors import ValidationError
 from repro.utils.random import check_random_state
 
-#: default coarse-to-fine node ratio per level.
+#: coarse-to-fine node ratio per level.
 DEFAULT_RATIO = 0.25
 
-#: default assignment-propagation sweeps.
+#: assignment-propagation sweeps per level.
 DEFAULT_SWEEPS = 3
 
 
@@ -78,33 +70,3 @@ def landmark_aggregates(
     if leftover.size:
         aggregates[leftover] = m + np.arange(leftover.size, dtype=np.int64)
     return aggregates
-
-
-class LandmarkBackend(CoarsenBackend):
-    """Seeded landmark aggregation with strongest-neighbor propagation.
-
-    ``params``:
-
-    * ``ratio`` — coarse/fine node ratio per level (default 0.25);
-    * ``sweeps`` — assignment propagation sweeps (default 3).
-    """
-
-    name = "landmark"
-
-    def coarsen(
-        self,
-        laplacians: Sequence[sp.spmatrix],
-        seed: int = 0,
-        params: Optional[Mapping[str, Any]] = None,
-    ) -> sp.csr_matrix:
-        params = dict(params or {})
-        ratio = float(params.get("ratio", DEFAULT_RATIO))
-        sweeps = int(params.get("sweeps", DEFAULT_SWEEPS))
-        similarity = aggregate_similarity(laplacians)
-        aggregates = landmark_aggregates(
-            similarity, ratio=ratio, sweeps=sweeps, seed=seed
-        )
-        return prolongation_from_aggregates(aggregates)
-
-
-register_backend(LandmarkBackend())

@@ -75,9 +75,13 @@ def knn_graph(
         Small problems fall back to ``exact`` per
         :func:`repro.neighbors.resolve_backend`.
     backend_params:
-        Backend-specific knobs (rp-forest: ``n_trees``, ``leaf_size``,
-        ``refine_iters``, a prebuilt ``forest``; exact-f32:
-        ``tie_margin``).
+        Knobs of the *requested* backend, its ``accepted_params``
+        (rp-forest — also what ``"auto"`` accepts: ``n_trees``,
+        ``leaf_size``, ``refine_iters``, ``refine_fanout``,
+        ``sketch_dim``; exact-f32: ``tie_margin``; exact: none).  Any
+        other key raises :class:`~repro.utils.errors.ValidationError`.
+        The check is against the requested backend, so an rp-forest
+        request that falls back to ``exact`` stays valid.
     seed:
         Determinism seed for randomized backends and recall sampling.
     stats:
@@ -96,6 +100,8 @@ def knn_graph(
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    if backend_params:
+        _check_backend_params(backend, backend_params)
     check_finite(features, name="attribute view")
     n = features.shape[0]
     if n < 2:
@@ -144,6 +150,20 @@ def knn_graph(
     adjacency.setdiag(0.0)
     adjacency.eliminate_zeros()
     return adjacency
+
+
+def _check_backend_params(backend: str, params: Mapping[str, Any]) -> None:
+    """Refuse keys the requested backend does not read (``"auto"``
+    requests accept rp-forest's keys)."""
+    requested = "rp-forest" if backend == "auto" else backend
+    accepted = get_backend(requested).accepted_params
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValidationError(
+            f"neighbor backend {backend!r} does not accept "
+            f"{', '.join(map(repr, unknown))}; accepted: "
+            f"{', '.join(accepted) or 'no params'}"
+        )
 
 
 def _sampled_recall(

@@ -92,6 +92,27 @@ class ObjectiveComponents:
     eigenvalues: np.ndarray  # bottom k+1 eigenvalues of L(w)
 
 
+def objective_components(
+    eigenvalues: np.ndarray, weights: np.ndarray, k: int, gamma: float
+) -> ObjectiveComponents:
+    """``h(w)`` and its parts from the bottom ``k + 1`` eigenvalues of
+    ``L(w)`` — the one formula behind :class:`SpectralObjective` and the
+    multilevel refine (:mod:`repro.coarsen.ladder`)."""
+    lambda_2 = float(eigenvalues[1]) if eigenvalues.size > 1 else 0.0
+    lambda_k = float(eigenvalues[k - 1])
+    lambda_k1 = float(eigenvalues[k])
+    eigengap = lambda_k / max(lambda_k1, _EIGENGAP_FLOOR)
+    regularization = gamma * float(np.dot(weights, weights))
+    value = eigengap - lambda_2 + regularization
+    return ObjectiveComponents(
+        eigengap=eigengap,
+        connectivity=lambda_2,
+        regularization=regularization,
+        value=value,
+        eigenvalues=eigenvalues,
+    )
+
+
 class SpectralObjective:
     """Evaluator of the full objective ``h(w)`` over fixed view Laplacians.
 
@@ -308,27 +329,11 @@ class SpectralObjective:
 
         eigenvalues = self._solve(weights)
         self.n_evaluations += 1
-        result = self._components_from(weights, eigenvalues)
+        result = objective_components(
+            eigenvalues, weights, self.k, self.gamma
+        )
         self._cache_store(key, result)
         return result
-
-    def _components_from(
-        self, weights: np.ndarray, eigenvalues: np.ndarray
-    ) -> ObjectiveComponents:
-        """Assemble the component breakdown from solved eigenvalues."""
-        lambda_2 = float(eigenvalues[1]) if eigenvalues.size > 1 else 0.0
-        lambda_k = float(eigenvalues[self.k - 1])
-        lambda_k1 = float(eigenvalues[self.k])
-        eigengap = lambda_k / max(lambda_k1, _EIGENGAP_FLOOR)
-        regularization = self.gamma * float(np.dot(weights, weights))
-        value = eigengap - lambda_2 + regularization
-        return ObjectiveComponents(
-            eigengap=eigengap,
-            connectivity=lambda_2,
-            regularization=regularization,
-            value=value,
-            eigenvalues=eigenvalues,
-        )
 
     def evaluate_batch(
         self, batch: Sequence
@@ -431,7 +436,9 @@ class SpectralObjective:
         for eigenvalues, (key, indices) in zip(value_rows, items):
             weights = points[indices[0]]
             self.n_evaluations += 1
-            component = self._components_from(weights, eigenvalues)
+            component = objective_components(
+                eigenvalues, weights, self.k, self.gamma
+            )
             self._cache_store(key, component)
             for i in indices:
                 results[i] = component

@@ -55,7 +55,9 @@ class SGLAConfig:
         ``"rp-forest"`` switches to O(n log n) approximate search.
     knn_params:
         Backend-specific knobs (rp-forest ``n_trees`` / ``leaf_size`` /
-        ``refine_iters`` / ``spill``, exact-f32 ``tie_margin``).
+        ``refine_iters`` / ``refine_fanout`` / ``sketch_dim``, exact-f32
+        ``tie_margin``); a key the resolved backend does not accept is
+        refused with a ``ValidationError`` at the first KNN build.
     eigen_backend:
         Eigensolver dispatch: ``"auto"`` (default) or any
         :mod:`repro.solvers` registry key; any other name is rejected
@@ -113,17 +115,11 @@ class SGLAConfig:
         Depth of the multilevel ladder (DESIGN.md §12).  ``0`` (default)
         is the flat path — bit-identical to configurations that predate
         coarsening.  ``>= 1`` Galerkin-coarsens the view Laplacians up
-        to that many levels, optimizes ``w`` at the coarsest level with
-        the full SGLA / SGLA+ machinery, then refines at full size from
-        the coarse optimum with prolonged warm-start blocks.
-    coarsen_backend:
-        Coarsening strategy from the :mod:`repro.coarsen` registry
-        (``"heavy-edge"`` mutual matching, default; ``"landmark"``
-        Nyström-style sampling).
-    coarsen_params:
-        Backend and ladder knobs (heavy-edge ``rounds``; landmark
-        ``ratio`` / ``sweeps``; ladder ``min_nodes`` / ``stall_ratio``
-        / ``refine_evals`` / ``refine_rho`` / ``lean``).
+        to that many levels by landmark aggregation, optimizes ``w`` at
+        the coarsest level with the full SGLA / SGLA+ machinery, then
+        refines at full size from the coarse optimum with prolonged
+        warm-start blocks.  The ladder's other settings are constants
+        of :mod:`repro.coarsen` (DESIGN.md §12).
     """
 
     gamma: float = 0.5
@@ -145,8 +141,6 @@ class SGLAConfig:
     shard_retries: int = 2
     shard_deadline: Optional[float] = None
     coarsen_levels: int = 0
-    coarsen_backend: str = "heavy-edge"
-    coarsen_params: Optional[dict] = None
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
@@ -180,8 +174,6 @@ class SGLAConfig:
             raise ValidationError(
                 f"coarsen_levels must be >= 0, got {self.coarsen_levels}"
             )
-        if not self.coarsen_backend:
-            raise ValidationError("coarsen_backend must be a non-empty name")
 
     def make_solver(self) -> SolverContext:
         """A fresh :class:`repro.solvers.SolverContext` for one run."""

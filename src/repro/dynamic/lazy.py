@@ -79,31 +79,8 @@ class LazySGLA:
 
     # ------------------------------------------------------------------ #
 
-    def _check_coarsen_compatible(self, dynamic: DynamicMVAG) -> None:
-        """Refuse the multilevel ladder on live-rerouted streams.
-
-        The ladder (``coarsen_levels > 0``) builds its prolongation
-        hierarchy once per (re)fit from the then-current Laplacians and
-        prolongs warm-start blocks through it.  Live rp-forest row
-        rerouting mutates the attribute KNN graphs *between* drift
-        checks, silently invalidating any hierarchy carried across them
-        — so the combination is rejected up front rather than producing
-        quietly stale coarse spaces.  Use a flat config (the default) on
-        streams, or the ``exact`` KNN backend if coarsening is needed.
-        """
-        if self.config.coarsen_levels > 0 and dynamic.uses_live_forest_rerouting:
-            raise ValidationError(
-                "coarsen_levels > 0 cannot be combined with live rp-forest "
-                "row rerouting: the coarsening hierarchy is built once per "
-                "fit, but rerouting mutates attribute KNN graphs between "
-                "refreshes, so prolonged warm starts would target stale "
-                "coarse spaces. Set coarsen_levels=0 for streaming, or use "
-                "knn_backend='exact' on the DynamicMVAG."
-            )
-
     def fit(self, dynamic: DynamicMVAG) -> "LazySGLA":
         """Initial fit on the current state of ``dynamic``."""
-        self._check_coarsen_compatible(dynamic)
         if self.solver is None:
             self.solver = self.config.make_solver()
         laplacians = dynamic.view_laplacians()
@@ -121,7 +98,6 @@ class LazySGLA:
         """
         if self.weights is None:
             raise NotFittedError("call fit before refresh")
-        self._check_coarsen_compatible(dynamic)
         laplacians = dynamic.view_laplacians()
         objective = SpectralObjective(
             laplacians,

@@ -7,15 +7,12 @@ an edge update touches only the rows/columns of its endpoints (the
 normalized Laplacian of node pairs whose degree changed), so a batch of
 ``u`` updates costs ``O(u * d_max)`` instead of a full rebuild.
 
-Attribute views keep two pieces of incremental state so that KNN-graph
-refreshes do not restart from scratch (DESIGN.md §9):
-
-* the **row-normalized feature matrix** of each view is cached and only
-  the updated row is renormalized (``O(d)`` for dense views instead of
-  the full ``O(n d)`` pass per refresh);
-* with an approximate ``knn_backend``, the **rp-forest** built for each
-  view is cached and the updated row is rerouted through the existing
-  trees (``O(depth)`` per tree) instead of rebuilding the forest.
+Attribute views cache their **row-normalized feature matrix**, and an
+update renormalizes only its row (``O(d)`` for dense views instead of
+the full ``O(n d)`` pass per refresh).  A dirty attribute view's KNN
+graph is rebuilt from that cache with whatever ``knn_backend`` is
+configured — through the shard context when one is set — so a streamed
+view always equals a cold build of its current rows (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -29,13 +26,7 @@ import scipy.sparse as sp
 from repro.core.knn import knn_graph
 from repro.core.laplacian import normalized_laplacian
 from repro.core.mvag import MVAG
-from repro.neighbors import (
-    NeighborStats,
-    RPForest,
-    forest_from_params,
-    normalize_rows,
-    resolve_backend,
-)
+from repro.neighbors import NeighborStats, normalize_rows
 from repro.shard import ShardContext, shard_attribute_laplacians
 from repro.utils.errors import ValidationError
 from repro.utils.sparse import ensure_csr
@@ -101,8 +92,7 @@ class DynamicMVAG:
         Neighbors for attribute-view KNN graphs.
     knn_backend:
         Neighbor-search backend for attribute-view KNN rebuilds (any
-        :mod:`repro.neighbors` registry key or ``"auto"``).  With
-        ``"rp-forest"`` the per-view forest is kept across updates.
+        :mod:`repro.neighbors` registry key or ``"auto"``).
     knn_params:
         Backend-specific knobs forwarded to :func:`repro.core.knn.
         knn_graph`.
@@ -114,9 +104,7 @@ class DynamicMVAG:
         multiple attribute views dirty rebuilds their KNN Laplacians in
         parallel over the process pool, one shard per view, using the
         cached row-normalized features (bit-identical to the in-process
-        rebuild).  Views with a live incremental rp-forest keep the
-        in-process path: their per-row rerouting state lives in this
-        process and beats any rebuild.
+        rebuild, for every backend).
     shard_workers, shard_backend:
         Shortcut that lazily creates an owned context (mirrors
         :class:`repro.core.sgla.SGLAConfig`).
@@ -154,11 +142,9 @@ class DynamicMVAG:
         self._laplacians: Dict[int, sp.csr_matrix] = {}
         self._attr_graph_dirty = [False] * len(self._attributes)
         self._updates_since_snapshot = 0
-        # Incremental KNN state: per-view row-normalized features (only
-        # changed rows are renormalized) and, for rp-forest, the reusable
-        # forest.  Both are built lazily on first use.
+        # Per-view row-normalized features, built lazily on first use;
+        # an update renormalizes only its row.
         self._normalized: Dict[int, Union[np.ndarray, sp.csr_matrix]] = {}
-        self._forests: Dict[int, RPForest] = {}
         #: KNN-build counters across streaming rebuilds (observable).
         self.neighbor_stats = NeighborStats()
         self._shard = shard
@@ -197,26 +183,6 @@ class DynamicMVAG:
     def updates_since_snapshot(self) -> int:
         """Mutations applied since the last :meth:`snapshot` call."""
         return self._updates_since_snapshot
-
-    @property
-    def uses_live_forest_rerouting(self) -> bool:
-        """True when attribute KNN maintenance reroutes rows through a
-        live rp-forest (the resolved backend is ``rp-forest``).
-
-        Consumers that assume view Laplacians stay *structurally* fixed
-        between refreshes — notably the multilevel coarsening ladder,
-        whose prolongation hierarchy is built once per fit — use this to
-        refuse the combination (see :class:`repro.dynamic.lazy.LazySGLA`).
-        """
-        return (
-            resolve_backend(
-                self._n,
-                min(self._knn_k, max(self._n - 1, 1)),
-                self._knn_backend,
-                self._knn_params,
-            )
-            == "rp-forest"
-        )
 
     # ------------------------------------------------------------------ #
     # Mutations
@@ -277,12 +243,11 @@ class DynamicMVAG:
     def _refresh_normalized_row(
         self, view: int, node: int, values: np.ndarray
     ) -> None:
-        """Maintain the cached normalized features and forest for one row.
+        """Patch one row of the cached normalized features, if cached.
 
-        The cached matrix is patched in place (``O(d)`` for dense views,
-        one CSR row splice for sparse views) instead of re-running the
-        full ``O(n d)`` normalization on the next KNN rebuild, and the
-        cached rp-forest reroutes just this row through its trees.
+        ``O(d)`` in place for dense views, one CSR row splice for sparse
+        views, instead of the full ``O(n d)`` normalization on the next
+        KNN rebuild.
         """
         cached = self._normalized.get(view)
         if cached is None:
@@ -293,13 +258,8 @@ class DynamicMVAG:
             self._normalized[view] = _replace_csr_row(
                 cached, node, normalized_row
             )
-            forest_row = self._normalized[view][node]
         else:
             cached[node] = normalized_row
-            forest_row = normalized_row
-        forest = self._forests.get(view)
-        if forest is not None:
-            forest.update_row(node, forest_row)
 
     # ------------------------------------------------------------------ #
     # Views out
@@ -323,29 +283,21 @@ class DynamicMVAG:
         self._laplacians[index] = laplacian
         return laplacian
 
-    def _attribute_knn_graph(self, attr_index: int) -> sp.csr_matrix:
-        """KNN graph of one attribute view from the incremental caches."""
+    def _normalized_view(self, attr_index: int):
+        """The cached row-normalized features of one attribute view."""
         normalized = self._normalized.get(attr_index)
         if normalized is None:
             normalized = normalize_rows(self._attributes[attr_index])
             self._normalized[attr_index] = normalized
-        params = dict(self._knn_params)
-        resolved = resolve_backend(
-            self._n, min(self._knn_k, self._n - 1), self._knn_backend, params
-        )
-        if resolved == "rp-forest":
-            forest = self._forests.get(attr_index)
-            if forest is None:
-                # seed=0 mirrors knn_graph's default so a streamed forest
-                # matches what a cold backend build would construct.
-                forest = forest_from_params(normalized, params, seed=0)
-                self._forests[attr_index] = forest
-            params["forest"] = forest
+        return normalized
+
+    def _attribute_knn_graph(self, attr_index: int) -> sp.csr_matrix:
+        """KNN graph of one attribute view from its normalized cache."""
         return knn_graph(
-            normalized,
+            self._normalized_view(attr_index),
             k=self._knn_k,
             backend=self._knn_backend,
-            backend_params=params,
+            backend_params=self._knn_params,
             stats=self.neighbor_stats,
             assume_normalized=True,
         )
@@ -354,23 +306,14 @@ class DynamicMVAG:
         """Rebuild every stale attribute-view Laplacian in one dispatch.
 
         One shard per dirty view, using the cached normalized features;
-        bit-identical to the per-view in-process rebuild.  Views served
-        by a live incremental rp-forest are skipped — their rerouting
-        state lives in this process and outperforms any rebuild — as is
-        a single dirty view (nothing to fan out over).
+        bit-identical to the per-view in-process rebuild.  A single
+        dirty view is left to the in-process path (nothing to fan out
+        over).
         """
         shard = self._shard
         if shard is None:
             return
         offset = len(self._graphs)
-        resolved = resolve_backend(
-            self._n,
-            min(self._knn_k, self._n - 1),
-            self._knn_backend,
-            self._knn_params,
-        )
-        if resolved == "rp-forest":
-            return
         pending = [
             attr_index
             for attr_index in range(len(self._attributes))
@@ -378,13 +321,8 @@ class DynamicMVAG:
         ]
         if len(pending) < 2:
             return
-        for attr_index in pending:
-            if attr_index not in self._normalized:
-                self._normalized[attr_index] = normalize_rows(
-                    self._attributes[attr_index]
-                )
         laplacians = shard_attribute_laplacians(
-            [self._normalized[attr_index] for attr_index in pending],
+            [self._normalized_view(attr_index) for attr_index in pending],
             shard,
             knn_k=self._knn_k,
             knn_backend=self._knn_backend,

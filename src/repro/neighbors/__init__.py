@@ -17,6 +17,7 @@ Adding a backend::
 
     class MyIndex(NeighborBackend):
         name = "my-index"
+        accepted_params = ("ef",)  # backend_params keys it reads
         def neighbors(self, request: NeighborRequest) -> NeighborResult:
             ...
 
@@ -53,7 +54,6 @@ from repro.neighbors.rp_forest import (
     DEFAULT_REFINE_ITERS,
     RPForest,
     RPForestNeighborBackend,
-    forest_from_params,
 )
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "RPForestNeighborBackend",
     "RP_FOREST_MIN_N",
     "available_backends",
-    "forest_from_params",
     "get_backend",
     "normalize_rows",
     "register_backend",

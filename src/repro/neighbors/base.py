@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,8 +139,9 @@ class NeighborRequest:
     seed:
         Determinism seed for randomized backends (rp-forest trees).
     params:
-        Backend-specific knobs (``n_trees``, ``leaf_size``,
-        ``refine_iters``, ``tie_margin``, a prebuilt ``forest``, ...).
+        Backend-specific knobs, already checked against the backend's
+        :attr:`~NeighborBackend.accepted_params` (``n_trees``,
+        ``leaf_size``, ``refine_iters``, ``tie_margin``, ...).
     """
 
     normalized: FeatureMatrix
@@ -161,8 +162,7 @@ class NeighborResult:
     evaluations the backend actually performed — the quantity an
     approximate backend saves relative to ``n (n - 1)``.  ``exact`` marks
     backends whose neighbor sets are exhaustive by construction (recall
-    sampling is skipped for them).  ``extras`` carries reusable state,
-    e.g. the rp-forest instance for incremental rebuilds.
+    sampling is skipped for them).
     """
 
     rows: np.ndarray
@@ -170,13 +170,17 @@ class NeighborResult:
     vals: np.ndarray
     candidate_pairs: int
     exact: bool = True
-    extras: Dict[str, Any] = field(default_factory=dict)
 
 
 class NeighborBackend(ABC):
-    """A neighbor-search strategy, registered by its ``name`` key."""
+    """A neighbor-search strategy, registered by its ``name`` key.
+
+    ``accepted_params`` names the ``backend_params`` keys the backend
+    reads; :func:`repro.core.knn.knn_graph` refuses any other key.
+    """
 
     name: str = ""
+    accepted_params: Tuple[str, ...] = ()
 
     @abstractmethod
     def neighbors(self, request: NeighborRequest) -> NeighborResult:

@@ -145,6 +145,7 @@ class ExactF32NeighborBackend(NeighborBackend):
     """Float32 similarity blocks with a float64 re-rank parity guard."""
 
     name = "exact-f32"
+    accepted_params = ("tie_margin",)
 
     def neighbors(self, request: NeighborRequest) -> NeighborResult:
         normalized = request.normalized

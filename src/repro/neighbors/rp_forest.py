@@ -10,15 +10,14 @@ per node:
    similarly, so neighbors tend to share leaves; the median split keeps
    trees balanced, giving ``O(n log n)`` construction per tree.  Trees
    only *partition*, so they are built on a float32
-   Johnson–Lindenstrauss sketch of the features (``sketch_dim``), and
-   an optional quantile ``spill`` duplicates near-boundary points into
-   both children.
+   Johnson–Lindenstrauss sketch of the features (``sketch_dim``).
 2. **Candidate union** — every pair sharing a leaf in *any* tree is a
    candidate; more trees mean independent chances for a true neighbor
    pair to co-occur.  Candidates are scored with true cosines in
    float32 (batched per-leaf GEMMs grouped by leaf size) and each node
    keeps its per-leaf top ``k`` (lossless for the union top-k), merged
-   across trees by direct slot scatter.
+   across trees by direct slot scatter: each row sits in exactly one
+   leaf per tree, so it owns ``k`` slots per tree.
 3. **NN-descent refinement** (optional) — ``refine_iters`` local-join
    sweeps score sibling pairs inside a random ``refine_fanout``-subset
    of each node's joined neighborhood, the classic graph-join step that
@@ -27,16 +26,15 @@ per node:
    float64, so edge weights are always full-precision cosines.
 
 Recall is a measured knob: raise ``n_trees`` / ``leaf_size`` /
-``refine_iters`` / ``spill`` to trade build time for recall (table in
-DESIGN.md §9).  Trees support **single-row updates** (reroute the row
-to its new leaf), which is what lets
-:class:`repro.dynamic.stream.DynamicMVAG` reuse a forest across
-streaming attribute updates instead of rebuilding it.
+``refine_iters`` to trade build time for recall (table in DESIGN.md
+§9).  A forest is a pure function of its features, knobs and seed, so
+a streamed view rebuilt after updates equals a cold build of the same
+rows.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,11 +54,6 @@ DEFAULT_REFINE_ITERS = 0
 #: first-hop cap of the NN-descent sweep (best-J neighbors per node).
 DEFAULT_REFINE_FANOUT = 8
 
-#: quantile half-band of points duplicated into both children per split
-#: (opt-in: membership grows ~(1 + 2 * spill)^depth, so even 0.05
-#: roughly doubles the candidate volume of a 9-level tree).
-DEFAULT_SPILL = 0.0
-
 #: trees are built on a JL sketch of this many dims when the ambient
 #: dimension exceeds it (trees partition, they do not score — a random
 #: sketch preserves the split geometry at a fraction of the row-gather
@@ -75,157 +68,58 @@ _SCORE_CHUNK_PAIRS = 262_144
 _SPLIT_ATTEMPTS = 3
 
 
-def _project(row, direction: np.ndarray) -> float:
-    """Scalar projection of one row (1-D dense or 1 x d sparse)."""
-    value = row.dot(direction)
-    return float(np.asarray(value).ravel()[0])
+def _split(normalized, indices: np.ndarray, rng) -> Optional[np.ndarray]:
+    """Left-child mask of a median hyperplane split (``None``: unsplittable)."""
+    dim = normalized.shape[1]
+    for attempt in range(_SPLIT_ATTEMPTS):
+        if attempt < _SPLIT_ATTEMPTS - 1:
+            # Two-point split (annoy-style): the hyperplane normal to
+            # the difference of two random members adapts to the data's
+            # spread, separating neighborhoods far better per tree than
+            # a data-blind Gaussian direction.
+            a, b = rng.choice(indices.size, size=2, replace=False)
+            difference = normalized[indices[a]] - normalized[indices[b]]
+            if sp.issparse(difference):
+                difference = difference.toarray()
+            direction = np.asarray(difference).ravel()
+            if not direction.any():
+                continue  # duplicate rows; try another pair
+        else:
+            # Last resort for clumped data: an oblivious direction.
+            direction = rng.standard_normal(dim)
+        projection = np.asarray(normalized[indices].dot(direction)).ravel()
+        left = projection <= float(np.median(projection))
+        if 0 < int(left.sum()) < indices.size:
+            return left
+    return None
 
 
-class RPTree:
-    """One random-projection (spill) tree over row-normalized features.
+def _tree_leaves(normalized, leaf_size: int, rng) -> List[np.ndarray]:
+    """The leaves of one random-projection tree, a partition of the rows.
 
-    Internal nodes store their hyperplane (direction + median threshold)
-    so rows can be rerouted after an update; leaves are mutable index
-    lists.  Child links encode leaves as ``-(leaf_id + 1)``.
-
-    With ``spill > 0`` the points projecting within the central
-    ``2 * spill`` quantile band of a split go to *both* children.  This
-    targets the dominant recall failure of plain RP trees — true
-    neighbor pairs separated by a hyperplane passing between them — at
-    a per-level membership growth of ``1 + 2 * spill``.  Routing (and
-    therefore :meth:`update_row`) always follows the median path, whose
-    membership is tracked as each point's *primary* leaf, so updates
-    stay exact; superseded spill copies merely linger as scored-and-
-    rejected candidates until the next full build.
+    Built iteratively with an explicit stack; median splits keep the
+    depth near ``log2(n / leaf_size)``.  A subset no split can divide
+    (duplicate rows) stays as one oversized leaf.
     """
-
-    def __init__(
-        self,
-        normalized,
-        leaf_size: int,
-        rng: np.random.Generator,
-        spill: float = 0.0,
-    ):
-        n = normalized.shape[0]
-        self._directions: List[np.ndarray] = []
-        self._thresholds: List[float] = []
-        self._left: List[int] = []
-        self._right: List[int] = []
-        self.leaves: List[List[int]] = []
-        self.leaf_of = np.full(n, -1, dtype=np.int64)
-        self._root = self._build(normalized, leaf_size, rng, float(spill))
-
-    def _make_leaf(self, indices: np.ndarray, primary: np.ndarray) -> int:
-        leaf_id = len(self.leaves)
-        self.leaves.append([int(i) for i in indices])
-        self.leaf_of[indices[primary]] = leaf_id
-        return -(leaf_id + 1)
-
-    def _split(self, normalized, indices: np.ndarray, rng, spill: float):
-        dim = normalized.shape[1]
-        for attempt in range(_SPLIT_ATTEMPTS):
-            if attempt < _SPLIT_ATTEMPTS - 1:
-                # Two-point split (annoy-style): the hyperplane normal to
-                # the difference of two random members adapts to the
-                # data's spread, separating neighborhoods far better per
-                # tree than a data-blind Gaussian direction.
-                a, b = rng.choice(indices.size, size=2, replace=False)
-                difference = normalized[indices[a]] - normalized[indices[b]]
-                if sp.issparse(difference):
-                    difference = difference.toarray()
-                direction = np.asarray(difference).ravel()
-                if not direction.any():
-                    continue  # duplicate rows; try another pair
-            else:
-                # Last resort for clumped data: an oblivious direction.
-                direction = rng.standard_normal(dim)
-            projection = np.asarray(
-                normalized[indices].dot(direction)
-            ).ravel()
-            threshold = float(np.median(projection))
-            if spill > 0.0:
-                low = np.quantile(projection, max(0.5 - spill, 0.0))
-                high = np.quantile(projection, min(0.5 + spill, 1.0))
-                left_mask = projection <= high
-                right_mask = projection >= low
-            else:
-                left_mask = projection <= threshold
-                right_mask = ~left_mask
-            n_left = int(left_mask.sum())
-            n_right = int(right_mask.sum())
-            if 0 < n_left < indices.size and 0 < n_right < indices.size:
-                # Masks are relative to ``indices``; primary_left marks
-                # the median (routing) path.
-                primary_left = projection <= threshold
-                return direction, threshold, left_mask, right_mask, primary_left
-        return None
-
-    def _build(self, normalized, leaf_size: int, rng, spill: float) -> int:
-        # Iterative with an explicit stack: (indices, primary-membership
-        # flags, parent_node, side); parent -1 marks the root.  Median
-        # splits keep depth ~log2(n) even with spill.
-        root = 0
-        n = normalized.shape[0]
-        stack = [(np.arange(n), np.ones(n, dtype=bool), -1, 0)]
-        while stack:
-            indices, primary, parent, side = stack.pop()
-            split = (
-                None
-                if indices.size <= leaf_size
-                else self._split(normalized, indices, rng, spill)
-            )
-            if split is None:
-                node = self._make_leaf(indices, primary)
-            else:
-                direction, threshold, left_mask, right_mask, on_left = split
-                node = len(self._directions)
-                self._directions.append(direction)
-                self._thresholds.append(threshold)
-                self._left.append(0)
-                self._right.append(0)
-                stack.append(
-                    (indices[left_mask], (primary & on_left)[left_mask], node, 0)
-                )
-                stack.append(
-                    (indices[right_mask], (primary & ~on_left)[right_mask], node, 1)
-                )
-            if parent < 0:
-                root = node
-            elif side == 0:
-                self._left[parent] = node
-            else:
-                self._right[parent] = node
-        return root
-
-    def route(self, row) -> int:
-        """Leaf id the (normalized) ``row`` lands in (median path)."""
-        node = self._root
-        while node >= 0:
-            projection = _project(row, self._directions[node])
-            node = (
-                self._left[node]
-                if projection <= self._thresholds[node]
-                else self._right[node]
-            )
-        return -node - 1
-
-    def update_row(self, index: int, row) -> None:
-        """Reroute one row after its features changed (O(depth))."""
-        new_leaf = self.route(row)
-        old_leaf = int(self.leaf_of[index])
-        if new_leaf == old_leaf:
-            return
-        self.leaves[old_leaf].remove(index)
-        # A spilled copy of this row may already live in the target leaf;
-        # appending a second copy would surface a spurious self-pair
-        # candidate that wastes one of the node's k slots.
-        if index not in self.leaves[new_leaf]:
-            self.leaves[new_leaf].append(index)
-        self.leaf_of[index] = new_leaf
+    leaves: List[np.ndarray] = []
+    stack = [np.arange(normalized.shape[0])]
+    while stack:
+        indices = stack.pop()
+        left = (
+            None
+            if indices.size <= leaf_size
+            else _split(normalized, indices, rng)
+        )
+        if left is None:
+            leaves.append(indices)
+        else:
+            stack.append(indices[left])
+            stack.append(indices[~left])
+    return leaves
 
 
 class RPForest:
-    """A forest of independent RP trees with row-update support."""
+    """A forest of independent RP trees over row-normalized features."""
 
     def __init__(
         self,
@@ -233,20 +127,13 @@ class RPForest:
         n_trees: int = DEFAULT_N_TREES,
         leaf_size: int = DEFAULT_LEAF_SIZE,
         seed: int = 0,
-        spill: float = DEFAULT_SPILL,
         sketch_dim: int = DEFAULT_SKETCH_DIM,
     ):
         if n_trees < 1:
             raise ValidationError(f"n_trees must be >= 1, got {n_trees}")
         if leaf_size < 2:
             raise ValidationError(f"leaf_size must be >= 2, got {leaf_size}")
-        if not 0.0 <= spill < 0.5:
-            raise ValidationError(f"spill must be in [0, 0.5), got {spill}")
-        self.n = int(normalized.shape[0])
         self.n_trees = int(n_trees)
-        self.leaf_size = int(leaf_size)
-        self.seed = seed
-        self.spill = float(spill)
         # Trees partition, they do not score — so they can be built on a
         # reduced view of the data.  Two reductions apply: float32 (a
         # rounding flip near a hyperplane only moves a boundary point
@@ -260,68 +147,28 @@ class RPForest:
         # the same trees as the backend's internal float32 copy.
         if normalized.dtype != np.float32:
             normalized = normalized.astype(np.float32)
-        self._sketch_map = None
         dim = int(normalized.shape[1])
         if 0 < int(sketch_dim) < dim:
             sketch_rng = np.random.default_rng((seed, 2**31 - 7))
-            self._sketch_map = (
+            sketch_map = (
                 sketch_rng.standard_normal((dim, int(sketch_dim)))
                 / np.sqrt(float(sketch_dim))
             ).astype(np.float32)
-            build_view = np.asarray(
-                normalized @ self._sketch_map, dtype=np.float32
+            normalized = np.asarray(
+                normalized @ sketch_map, dtype=np.float32
             )
-        else:
-            build_view = normalized
         self.trees = [
-            RPTree(
-                build_view,
-                leaf_size,
-                np.random.default_rng((seed, t)),
-                spill=spill,
+            _tree_leaves(
+                normalized, leaf_size, np.random.default_rng((seed, t))
             )
             for t in range(n_trees)
         ]
 
-    def _build_row(self, row):
-        """Map one (normalized) row into the tree-build space."""
-        if self._sketch_map is None:
-            return row
-        if sp.issparse(row):
-            row = np.asarray(row.todense()).ravel()
-        sketched = np.asarray(row, dtype=np.float32) @ self._sketch_map
-        return np.asarray(sketched, dtype=np.float32).ravel()
-
-    def update_row(self, index: int, row) -> None:
-        """Reroute ``index`` in every tree after its features changed."""
-        row = self._build_row(row)
-        for tree in self.trees:
-            tree.update_row(index, row)
-
     def leaf_groups(self):
         """Yield ``(tree_id, leaf)`` index arrays across the forest."""
-        for tree_id, tree in enumerate(self.trees):
-            for leaf in tree.leaves:
-                yield tree_id, np.asarray(leaf, dtype=np.int64)
-
-
-def forest_from_params(
-    normalized,
-    params: Mapping[str, Any],
-    seed: int = 0,
-) -> RPForest:
-    """Build (or validate and reuse) the forest described by ``params``."""
-    forest = params.get("forest")
-    if isinstance(forest, RPForest) and forest.n == normalized.shape[0]:
-        return forest
-    return RPForest(
-        normalized,
-        n_trees=int(params.get("n_trees", DEFAULT_N_TREES)),
-        leaf_size=int(params.get("leaf_size", DEFAULT_LEAF_SIZE)),
-        seed=seed,
-        spill=float(params.get("spill", DEFAULT_SPILL)),
-        sketch_dim=int(params.get("sketch_dim", DEFAULT_SKETCH_DIM)),
-    )
+        for tree_id, leaves in enumerate(self.trees):
+            for leaf in leaves:
+                yield tree_id, leaf
 
 
 def _pair_scores(normalized, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -388,26 +235,6 @@ def _merge_top_k(rows, cols, vals, n: int, k: int):
 #: rows per block of the table dedup/top-k finish (bounds its
 #: argsort/take_along temporaries to a few MB regardless of n).
 _FINISH_BLOCK_ROWS = 65536
-
-
-def _scatter_merge_top_k(rows, cols, vals, slots, n: int, width: int, k: int):
-    """Merge leaf candidates without sorting the triplet stream.
-
-    Valid only for spill-free forests, where each row appears exactly
-    once per tree: every triplet then owns a distinct ``(row, slot)``
-    cell of an ``(n, n_trees * k)`` table, so candidates scatter
-    directly into place.  Per-row duplicate columns (the same pair found
-    by several trees) are masked after a vectorized row-wise column
-    sort — all ``(n, width)``-shaped operations, replacing the global
-    radix sort of :func:`_merge_top_k` on the build's largest array.
-    Returns value-sorted ``(col_table, val_table)`` like
-    :func:`_merge_top_k`.
-    """
-    col_table = np.full((n, width), -1, dtype=np.int64)
-    val_table = np.full((n, width), -np.inf)
-    col_table[rows, slots] = cols
-    val_table[rows, slots] = vals
-    return _finish_scatter_tables(col_table, val_table, k)
 
 
 def _finish_scatter_tables(col_table, val_table, k: int):
@@ -503,98 +330,26 @@ def _refinement_pairs(
     return left[valid], right[valid]
 
 
-def _leaf_triplets(low, forest: RPForest, k: int):
-    """Per-leaf candidate scoring with per-leaf top-k selection.
+def _leaf_scatter(low, forest: RPForest, k: int, col_table, val_table) -> int:
+    """Per-leaf candidate scoring, scattered straight into the merge tables.
 
     Per-leaf top-k is lossless: a pair in the global top-k of row ``i``
     is by definition among the best ``k`` of every leaf containing both
     endpoints, so the union over trees loses nothing — and the emitted
-    triplet volume drops from ``leaf_size`` to ``k`` per node per tree.
+    candidate volume drops from ``leaf_size`` to ``k`` per node per tree.
 
     ``low`` is the float32 copy of the normalized features: candidate
     *selection* runs at half the memory traffic, and the survivors are
     re-scored in exact float64 at the end of the build (selection flips
     need a ~1e-7 similarity tie, far inside the approximation noise).
 
-    Dense features batch all leaves of equal size into one stacked GEMM
-    (median splits produce only a handful of distinct sizes), removing
-    the per-leaf Python overhead that dominated a naive loop; sparse
-    features keep the per-leaf loop (scipy has no batched spmatmul).
-    """
-    sparse_input = sp.issparse(low)
-    by_size = {}
-    for tree_id, leaf in forest.leaf_groups():
-        if leaf.size >= 2:
-            by_size.setdefault(leaf.size, []).append((tree_id, leaf))
-
-    rows_parts, cols_parts, vals_parts, slots_parts = [], [], [], []
-    scored = 0
-    for m, leaves in sorted(by_size.items()):
-        keep = min(k, m - 1)
-        if sparse_input:
-            for tree_id, leaf in leaves:
-                block = low[leaf]
-                sims = block.dot(block.T).toarray()
-                scored += m * (m - 1)
-                np.fill_diagonal(sims, -np.inf)
-                top = np.argpartition(sims, -keep, axis=1)[:, -keep:]
-                rows_parts.append(np.repeat(leaf, keep))
-                cols_parts.append(leaf[top.ravel()])
-                vals_parts.append(
-                    np.take_along_axis(sims, top, axis=1).ravel()
-                )
-                slots_parts.append(
-                    np.tile(tree_id * k + np.arange(keep), m)
-                )
-            continue
-        # Chunk the stacked (g, m, m) similarity tensor to ~64 MB.
-        group_chunk = max(1, 16_000_000 // (m * m))
-        for start in range(0, len(leaves), group_chunk):
-            chunk = leaves[start : start + group_chunk]
-            index = np.stack([leaf for _, leaf in chunk])  # (g, m)
-            blocks = low[index]  # (g, m, d)
-            sims = np.matmul(blocks, blocks.transpose(0, 2, 1))
-            scored += len(chunk) * m * (m - 1)
-            diagonal = np.arange(m)
-            sims[:, diagonal, diagonal] = -np.inf
-            flat = sims.reshape(len(chunk) * m, m)
-            top = np.argpartition(flat, -keep, axis=1)[:, -keep:]
-            group_of_row = np.repeat(np.arange(len(chunk)), m)[:, None]
-            rows_parts.append(np.repeat(index.ravel(), keep))
-            cols_parts.append(index[group_of_row, top].ravel())
-            vals_parts.append(np.take_along_axis(flat, top, axis=1).ravel())
-            tree_ids = np.asarray([tree_id for tree_id, _ in chunk])
-            slots_parts.append(
-                (
-                    tree_ids[:, None, None] * k
-                    + np.arange(keep)[None, None, :]
-                    + np.zeros((1, m, 1), dtype=np.int64)
-                ).reshape(-1)
-            )
-    if not rows_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0), empty, 0
-    return (
-        np.concatenate(rows_parts),
-        np.concatenate(cols_parts),
-        np.concatenate(vals_parts).astype(np.float64),
-        np.concatenate(slots_parts),
-        scored,
-    )
-
-
-def _leaf_scatter(low, forest: RPForest, k: int, col_table, val_table) -> int:
-    """Spill-free leaf sweep scattering straight into the merge tables.
-
-    Identical candidate scoring to :func:`_leaf_triplets`, but each
-    scored chunk lands in its ``(row, tree_id * k + slot)`` cells
-    immediately instead of accumulating global ``rows/cols/vals/slots``
-    arrays.  Spill-free forests visit each row once per tree, so every
-    write targets a distinct cell and scatter order is irrelevant —
-    the tables end up bit-identical to scatter-after-concatenate while
-    the peak candidate memory drops from the full triplet stream
-    (``~n * n_trees * k`` entries times four arrays, the single largest
-    allocation of a million-node build) to one scoring chunk.
+    Each row sits in one leaf per tree, so every scored chunk lands in
+    distinct ``(row, tree_id * k + slot)`` cells at once and scatter
+    order is irrelevant; peak candidate memory is one scoring chunk,
+    not the ``~n * n_trees * k`` triplet stream.  Dense features batch
+    all leaves of equal size into one stacked GEMM (median splits
+    produce only a handful of distinct sizes); sparse features keep a
+    per-leaf loop (scipy has no batched spmatmul).
 
     Returns the number of scored candidate pairs.
     """
@@ -651,6 +406,9 @@ class RPForestNeighborBackend(NeighborBackend):
     """Approximate cosine KNN via an RP-tree forest + exact re-rank."""
 
     name = "rp-forest"
+    accepted_params = (
+        "n_trees", "leaf_size", "refine_iters", "refine_fanout", "sketch_dim",
+    )
 
     def neighbors(self, request: NeighborRequest) -> NeighborResult:
         normalized = request.normalized
@@ -662,37 +420,24 @@ class RPForestNeighborBackend(NeighborBackend):
         # Candidate scoring runs on a float32 copy (the build is memory-
         # bandwidth-bound); survivors are re-scored in float64 below.
         low = normalized.astype(np.float32)
-        forest = forest_from_params(low, params, seed=request.seed)
-
-        if forest.spill == 0.0:
-            # Spill-free forests stream each scored chunk straight into
-            # the merge tables (unique (row, slot) cells), never holding
-            # the full candidate triplet stream.
-            width = forest.n_trees * k
-            col_table = np.full((n, width), -1, dtype=np.int64)
-            val_table = np.full((n, width), -np.inf)
-            scored = _leaf_scatter(low, forest, k, col_table, val_table)
-            if scored == 0:
-                empty = np.empty(0, dtype=np.int64)
-                return NeighborResult(
-                    rows=empty, cols=empty, vals=np.empty(0),
-                    candidate_pairs=0, exact=False,
-                    extras={"forest": forest},
-                )
-            col_table, val_table = _finish_scatter_tables(
-                col_table, val_table, k
+        forest = RPForest(
+            low,
+            n_trees=int(params.get("n_trees", DEFAULT_N_TREES)),
+            leaf_size=int(params.get("leaf_size", DEFAULT_LEAF_SIZE)),
+            seed=request.seed,
+            sketch_dim=int(params.get("sketch_dim", DEFAULT_SKETCH_DIM)),
+        )
+        width = forest.n_trees * k
+        col_table = np.full((n, width), -1, dtype=np.int64)
+        val_table = np.full((n, width), -np.inf)
+        scored = _leaf_scatter(low, forest, k, col_table, val_table)
+        if scored == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return NeighborResult(
+                rows=empty, cols=empty, vals=np.empty(0),
+                candidate_pairs=0, exact=False,
             )
-        else:
-            # Spilled forests revisit rows within a tree, so slots are
-            # not unique — fall back to the sort-based merge over the
-            # materialized triplet stream.
-            rows, cols, vals, slots, scored = _leaf_triplets(low, forest, k)
-            if rows.size == 0:
-                return NeighborResult(
-                    rows=rows, cols=cols, vals=vals, candidate_pairs=0,
-                    exact=False, extras={"forest": forest},
-                )
-            col_table, val_table = _merge_top_k(rows, cols, vals, n, k)
+        col_table, val_table = _finish_scatter_tables(col_table, val_table, k)
 
         for sweep in range(max(refine_iters, 0)):
             new_rows, new_cols = _refinement_pairs(
@@ -751,7 +496,6 @@ class RPForestNeighborBackend(NeighborBackend):
             vals=vals,
             candidate_pairs=scored,
             exact=False,
-            extras={"forest": forest},
         )
 
 

@@ -36,7 +36,12 @@ import threading
 from typing import Any, Dict, Optional, Set
 
 from repro.serve.stats import PRIORITIES
-from repro.shard.remote import parse_address, recv_frame, send_frame
+from repro.shard.remote import (
+    FrameError,
+    parse_address,
+    recv_frame,
+    send_frame,
+)
 from repro.utils.errors import (
     DeadlineExceeded,
     NoHealthyReplica,
@@ -54,6 +59,11 @@ OPS = ("submit", "health", "stats", "ping", "drain")
 
 #: job kinds the executor understands.
 JOB_KINDS = ("cluster", "embed", "objective")
+
+#: largest request body a front reads (16 MiB).  A request is a job
+#: description carrying at most ``r`` weights, never an array; a header
+#: declaring more drops the connection before any body byte is read.
+MAX_REQUEST_BYTES = 16 * 2**20
 
 #: wire ``kind`` -> exception class, the client-side decoder ring.
 KIND_TO_ERROR = {
@@ -146,8 +156,10 @@ class FrameServer:
     """Threaded framed-TCP front shared by the daemon and the router.
 
     One accept thread hands each connection to its own thread, which
-    loops ``recv_frame`` -> :meth:`_handle` -> ``send_frame``.  A
-    subclass implements :meth:`_handle` plus its lifecycle, ``start()``
+    loops ``recv_frame`` -> :meth:`_handle` -> ``send_frame``.  Requests
+    are read under :data:`MAX_REQUEST_BYTES`; a frame that breaks the
+    protocol (:class:`~repro.shard.remote.FrameError`) drops its
+    connection, as a vanished client does.  A subclass implements :meth:`_handle` plus its lifecycle, ``start()``
     and ``stop(drain=...)``, built on :meth:`_open_front` and
     :meth:`_close_front`; ``with`` starts it and stops it undrained.
     """
@@ -247,9 +259,13 @@ class FrameServer:
             while not self._stopping.is_set():
                 try:
                     sock.settimeout(None)
-                    message = recv_frame(sock, self._authkey)
+                    message = recv_frame(
+                        sock, self._authkey, max_bytes=MAX_REQUEST_BYTES
+                    )
                 except (ConnectionError, socket.timeout, OSError):
                     return
+                except FrameError:
+                    return  # bad magic, oversized or corrupt: drop it
                 try:
                     reply = self._handle(sock, check_request(message))
                 except Exception as error:  # never kill the connection

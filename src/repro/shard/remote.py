@@ -126,18 +126,27 @@ def recv_frame(
     sock: socket.socket,
     authkey: bytes = DEFAULT_AUTHKEY,
     expires_at: Optional[float] = None,
+    max_bytes: Optional[int] = None,
 ) -> Any:
     """Receive one frame; verify integrity; unpickle the body.
 
     ``expires_at`` is an absolute monotonic deadline shared by every
-    read of the frame.  Raises :class:`FrameCorrupted` on a digest
-    mismatch, ``ConnectionError`` on EOF, ``socket.timeout`` past the
-    deadline.
+    read of the frame.  ``max_bytes`` caps the body length the header
+    may declare; it is checked before any body byte is read, so an
+    oversized header never makes the receiver buffer its body.  Raises
+    :class:`FrameError` on bad magic or an oversized header,
+    :class:`FrameCorrupted` on a digest mismatch, ``ConnectionError``
+    on EOF, ``socket.timeout`` past the deadline.
     """
     header = _recv_exact(sock, 4 + 8 + DIGEST_SIZE, expires_at)
     if header[:4] != MAGIC:
         raise FrameError(f"bad frame magic {header[:4]!r}")
     (length,) = struct.unpack(">Q", header[4:12])
+    if max_bytes is not None and length > max_bytes:
+        raise FrameError(
+            f"frame declares {length} body bytes, over the "
+            f"{max_bytes}-byte limit"
+        )
     digest = header[12:]
     body = _recv_exact(sock, length, expires_at)
     if _digest(body, authkey) != digest:

@@ -1,29 +1,24 @@
 """Tests for the coarsening subsystem (repro.coarsen, DESIGN.md §12).
 
-Covers the registry contract, the prolongation/Galerkin primitives and
-their spectral guarantees (``P^T P = I``, ``lambda_j(P^T L P) >=
-lambda_j(L)``), both built-in backends' determinism and aggregate
-properties, and the first-order refinement machinery (Hellmann–Feynman
-gradient vs finite differences, descent of the projected BB loop).
+Covers the prolongation/Galerkin primitives and their spectral
+guarantees (``P^T P = I``, ``lambda_j(P^T L P) >= lambda_j(L)``),
+landmark aggregation's determinism and aggregate properties, and the
+first-order refinement machinery (Hellmann–Feynman gradient vs finite
+differences, descent of the projected BB loop).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-import repro.coarsen
-from registry_contract import RegistryContract
+import repro.coarsen.ladder
 from repro.coarsen import (
     CoarsenStats,
     aggregate_similarity,
-    available_backends,
     build_hierarchy,
     galerkin_project,
-    get_backend,
     gradient_refine,
-    heavy_edge_matching,
     landmark_aggregates,
     prolong_block,
     prolongation_from_aggregates,
@@ -44,20 +39,6 @@ def small_laplacians():
         seed=11,
     )
     return build_view_laplacians(mvag, knn_k=8)
-
-
-# --------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------- #
-
-
-def test_registry_lists_builtins():
-    assert "heavy-edge" in available_backends()
-    assert "landmark" in available_backends()
-
-
-class TestRegistry(RegistryContract):
-    package = repro.coarsen
 
 
 # --------------------------------------------------------------------- #
@@ -85,7 +66,7 @@ def test_galerkin_eigenvalues_bound_below_by_fine(small_laplacians):
     """Rayleigh–Ritz: coarse eigenvalues majorize the fine ones."""
     similarity = aggregate_similarity(small_laplacians)
     prolongation = prolongation_from_aggregates(
-        heavy_edge_matching(similarity)
+        landmark_aggregates(similarity)
     )
     coarse = galerkin_project(small_laplacians, prolongation)
     for fine_l, coarse_l in zip(small_laplacians, coarse):
@@ -110,40 +91,8 @@ def test_aggregate_similarity_empty_rejected():
 
 
 # --------------------------------------------------------------------- #
-# Backends
+# Landmark aggregation
 # --------------------------------------------------------------------- #
-
-
-def test_heavy_edge_matching_pairs_obvious_couples():
-    # Two tight pairs plus one isolated node.
-    adjacency = sp.csr_matrix(
-        np.array(
-            [
-                [0, 5, 0, 0, 0],
-                [5, 0, 0, 0, 0],
-                [0, 0, 0, 4, 0],
-                [0, 0, 4, 0, 0],
-                [0, 0, 0, 0, 0],
-            ],
-            dtype=np.float64,
-        )
-    )
-    aggregates = heavy_edge_matching(adjacency)
-    assert aggregates[0] == aggregates[1]
-    assert aggregates[2] == aggregates[3]
-    assert aggregates[4] not in (aggregates[0], aggregates[2])
-    assert np.array_equal(np.unique(aggregates), np.arange(3))
-
-
-def test_heavy_edge_deterministic_and_shrinking(small_laplacians):
-    similarity = aggregate_similarity(small_laplacians)
-    first = heavy_edge_matching(similarity)
-    second = heavy_edge_matching(similarity)
-    np.testing.assert_array_equal(first, second)
-    n_coarse = int(first.max()) + 1
-    # One round halves at best; three rounds must still shrink decently.
-    assert n_coarse < 0.8 * similarity.shape[0]
-    assert n_coarse >= similarity.shape[0] / 2
 
 
 def test_landmark_ratio_controls_size(small_laplacians):
@@ -168,10 +117,10 @@ def test_landmark_rejects_bad_ratio(small_laplacians):
         landmark_aggregates(similarity, ratio=1.0)
 
 
-@pytest.mark.parametrize("backend_name", ["heavy-edge", "landmark"])
-def test_backend_prolongations_are_valid(small_laplacians, backend_name):
-    backend = get_backend(backend_name)
-    prolongation = backend.coarsen(small_laplacians, seed=0)
+def test_backend_prolongations_are_valid(small_laplacians):
+    prolongation = prolongation_from_aggregates(
+        landmark_aggregates(aggregate_similarity(small_laplacians), seed=0)
+    )
     n, n_coarse = prolongation.shape
     assert n == small_laplacians[0].shape[0]
     assert 0 < n_coarse < n
@@ -184,8 +133,11 @@ def test_backend_prolongations_are_valid(small_laplacians, backend_name):
 # --------------------------------------------------------------------- #
 
 
-def test_build_hierarchy_respects_levels_and_floor(small_laplacians):
-    config = SGLAConfig(coarsen_levels=2, coarsen_params={"min_nodes": 10})
+def test_build_hierarchy_respects_levels_and_floor(
+    small_laplacians, monkeypatch
+):
+    monkeypatch.setattr(repro.coarsen.ladder, "MIN_NODES", 10)
+    config = SGLAConfig(coarsen_levels=2)
     hierarchy = build_hierarchy(small_laplacians, k=4, config=config)
     assert hierarchy.n_levels == 2
     assert len(hierarchy.sizes) == 3
@@ -193,16 +145,18 @@ def test_build_hierarchy_respects_levels_and_floor(small_laplacians):
     assert hierarchy.sizes[1] > hierarchy.sizes[2]
     assert hierarchy.coarse_laplacians[0].shape[0] == hierarchy.sizes[-1]
 
-    floor_config = SGLAConfig(
-        coarsen_levels=5, coarsen_params={"min_nodes": 10_000}
-    )
+    monkeypatch.setattr(repro.coarsen.ladder, "MIN_NODES", 10_000)
+    floor_config = SGLAConfig(coarsen_levels=5)
     flat = build_hierarchy(small_laplacians, k=4, config=floor_config)
     assert flat.n_levels == 0
     assert flat.sizes == [small_laplacians[0].shape[0]]
 
 
-def test_prolong_block_orthonormal_through_chain(small_laplacians):
-    config = SGLAConfig(coarsen_levels=2, coarsen_params={"min_nodes": 10})
+def test_prolong_block_orthonormal_through_chain(
+    small_laplacians, monkeypatch
+):
+    monkeypatch.setattr(repro.coarsen.ladder, "MIN_NODES", 10)
+    config = SGLAConfig(coarsen_levels=2)
     hierarchy = build_hierarchy(small_laplacians, k=4, config=config)
     rng = np.random.default_rng(0)
     block = rng.standard_normal((hierarchy.sizes[-1], 5))
@@ -277,11 +231,10 @@ def test_gradient_refine_descends_and_converges(small_laplacians):
 
 def test_coarsen_stats_summary_shape():
     stats = CoarsenStats(
-        backend="heavy-edge", levels=[100, 60, 35], coarse_solves=12,
-        fine_solves=5, coarsen_seconds=0.25,
+        levels=[100, 60, 35], coarse_solves=12, fine_solves=5,
+        coarsen_seconds=0.25,
     )
     text = stats.summary()
-    assert "heavy-edge" in text
     assert "100 -> 60 -> 35" in text
     assert "12 coarse / 5 fine" in text
     assert CoarsenStats().summary().count("flat") == 1

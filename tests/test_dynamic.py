@@ -149,32 +149,12 @@ class TestIncrementalKnnState:
         for a, b in zip(streamed, static):
             assert abs(a - b).max() < 1e-10
 
-    def test_forest_cached_and_reused(self):
-        mvag = generate_mvag(
-            n_nodes=700,
-            n_clusters=3,
-            graph_view_strengths=[0.8],
-            attribute_view_dims=[16],
-            seed=7,
-        )
-        dynamic = DynamicMVAG(
-            mvag, knn_k=5, knn_backend="rp-forest",
-            knn_params={"n_trees": 4, "leaf_size": 64},
-        )
-        attr_view = dynamic.n_graph_views
-        dynamic.view_laplacian(attr_view)
-        assert 0 in dynamic._forests
-        forest = dynamic._forests[0]
-        dynamic.update_attributes(
-            0, 5, np.random.default_rng(1).standard_normal(16)
-        )
-        dynamic.view_laplacian(attr_view)
-        # same forest object survives the update (rerouted, not rebuilt)
-        assert dynamic._forests[0] is forest
-        assert dynamic.neighbor_stats.by_backend.get("rp-forest") == 2
-
-    def test_forest_update_matches_explicit_reuse(self):
+    def test_streamed_rp_forest_matches_cold_rebuild(self):
+        # A dirty rp-forest view is rebuilt from the normalized cache,
+        # so after any update history it equals a cold build of the
+        # same rows, bit for bit.
         from repro.core.knn import knn_graph
+        from repro.core.laplacian import normalized_laplacian
 
         mvag = generate_mvag(
             n_nodes=700,
@@ -189,22 +169,61 @@ class TestIncrementalKnnState:
         )
         attr_view = dynamic.n_graph_views
         dynamic.view_laplacian(attr_view)
-        new_row = np.random.default_rng(2).standard_normal(16)
-        dynamic.update_attributes(0, 9, new_row)
+        rng = np.random.default_rng(2)
+        for node in (9, 120, 333, 501, 699):
+            dynamic.update_attributes(0, node, rng.standard_normal(16))
         streamed = dynamic.view_laplacian(attr_view)
-        # Ground truth: the same forest state applied to the same data.
-        from repro.core.laplacian import normalized_laplacian
-
-        expected = normalized_laplacian(
+        cold = normalized_laplacian(
             knn_graph(
                 dynamic._normalized[0],
                 k=5,
                 backend="rp-forest",
-                backend_params={**params, "forest": dynamic._forests[0]},
+                backend_params=params,
                 assume_normalized=True,
             )
         )
-        assert abs(streamed - expected).max() < 1e-12
+        assert np.array_equal(streamed.indptr, cold.indptr)
+        assert np.array_equal(streamed.indices, cold.indices)
+        assert np.array_equal(streamed.data, cold.data)
+
+    def test_sharded_rp_forest_refresh(self):
+        # Dirty rp-forest views go through the shard context like any
+        # other backend's, bit-identical to the in-process stream.
+        mvag = generate_mvag(
+            n_nodes=700,
+            n_clusters=3,
+            graph_view_strengths=[0.8],
+            attribute_view_dims=[16, 12],
+            seed=9,
+        )
+        params = {"n_trees": 4, "leaf_size": 64}
+        streams = [
+            DynamicMVAG(
+                mvag, knn_k=5, knn_backend="rp-forest", knn_params=params,
+                shard_workers=workers,
+            )
+            for workers in (None, 2)
+        ]
+        plain, sharded = streams
+        try:
+            for dynamic in streams:
+                dynamic.view_laplacians()
+            tasks_before = sharded._shard.stats.tasks
+            rng = np.random.default_rng(4)
+            for view, dim in ((0, 16), (1, 12)):
+                values = rng.standard_normal(dim)
+                for dynamic in streams:
+                    dynamic.update_attributes(view, 17, values)
+            expected = plain.view_laplacians()
+            got = sharded.view_laplacians()
+            assert sharded._shard.stats.tasks == tasks_before + 2
+            for a, b in zip(expected, got):
+                assert np.array_equal(a.indptr, b.indptr)
+                assert np.array_equal(a.indices, b.indices)
+                assert np.array_equal(a.data, b.data)
+        finally:
+            for dynamic in streams:
+                dynamic.close()
 
 
 class TestLazySGLA:

@@ -4,8 +4,7 @@ The contract under test: ``coarsen_levels=0`` stays bit-identical to the
 flat path that predates coarsening; the flat *fallback* (hierarchy builds
 zero rungs) is bit-identical too; multilevel results agree with the flat
 optimum on small problems; runs are deterministic across shard-worker
-counts; and the streaming guard rejects the ladder on live-rerouted
-dynamic graphs.
+counts; and a lazy refit runs the ladder on an rp-forest stream.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.coarsen.ladder
 from repro.cli import main
 from repro.coarsen import gradient_refine
 from repro.core.laplacian import build_view_laplacians
@@ -34,12 +34,19 @@ def mvag():
     )
 
 
+@pytest.fixture()
+def min_nodes_60(monkeypatch):
+    monkeypatch.setattr(repro.coarsen.ladder, "MIN_NODES", 60)
+
+
+@pytest.fixture()
+def min_nodes_above_n(monkeypatch):
+    # Above every fixture's n: build_hierarchy stops before the first rung.
+    monkeypatch.setattr(repro.coarsen.ladder, "MIN_NODES", 10_000)
+
+
 def _multilevel_config(**overrides):
-    params = {"min_nodes": 60}
-    params.update(overrides.pop("coarsen_params", {}))
-    base = dict(
-        coarsen_levels=2, coarsen_params=params, eps=1e-4, seed=3
-    )
+    base = dict(coarsen_levels=2, eps=1e-4, seed=3)
     base.update(overrides)
     return SGLAConfig(**base)
 
@@ -49,39 +56,29 @@ class TestFlatConformance:
         result = SGLA(SGLAConfig(seed=3)).fit(mvag)
         assert result.coarsen_stats is None
 
-    def test_flat_fallback_bitwise_identical(self, mvag):
+    def test_flat_fallback_bitwise_identical(self, mvag, min_nodes_above_n):
         """A hierarchy that builds zero rungs must defer to the flat path
         exactly — same weights, same Laplacian, bit for bit."""
         flat = SGLA(SGLAConfig(seed=3)).fit(mvag)
-        # min_nodes above n: build_hierarchy stops before the first rung.
-        fallback = SGLA(
-            SGLAConfig(
-                coarsen_levels=3,
-                coarsen_params={"min_nodes": 10_000},
-                seed=3,
-            )
-        ).fit(mvag)
+        fallback = SGLA(SGLAConfig(coarsen_levels=3, seed=3)).fit(mvag)
         np.testing.assert_array_equal(flat.weights, fallback.weights)
         assert flat.objective_value == fallback.objective_value
         assert (flat.laplacian != fallback.laplacian).nnz == 0
         # ...but the fallback still reports what happened.
         assert fallback.coarsen_stats is not None
         assert fallback.coarsen_stats.levels == [mvag.n_nodes]
-        assert "flat" not in fallback.coarsen_stats.summary().split("[")[0]
+        assert fallback.coarsen_stats.summary().startswith(
+            f"[{mvag.n_nodes}] "
+        )
 
-    def test_flat_fallback_sgla_plus(self, mvag):
+    def test_flat_fallback_sgla_plus(self, mvag, min_nodes_above_n):
         flat = SGLAPlus(SGLAConfig(seed=3)).fit(mvag)
-        fallback = SGLAPlus(
-            SGLAConfig(
-                coarsen_levels=1,
-                coarsen_params={"min_nodes": 10_000},
-                seed=3,
-            )
-        ).fit(mvag)
+        fallback = SGLAPlus(SGLAConfig(coarsen_levels=1, seed=3)).fit(mvag)
         np.testing.assert_array_equal(flat.weights, fallback.weights)
         assert flat.objective_value == fallback.objective_value
 
 
+@pytest.mark.usefixtures("min_nodes_60")
 class TestMultilevelFit:
     def test_agrees_with_flat_optimum(self, mvag):
         flat = SGLA(SGLAConfig(eps=1e-4, seed=3)).fit(mvag)
@@ -95,7 +92,6 @@ class TestMultilevelFit:
         result = SGLA(_multilevel_config()).fit(mvag)
         stats = result.coarsen_stats
         assert stats is not None
-        assert stats.backend == "heavy-edge"
         assert len(stats.levels) >= 2
         assert stats.levels[0] == mvag.n_nodes
         assert stats.levels[-1] < mvag.n_nodes
@@ -107,14 +103,6 @@ class TestMultilevelFit:
         # The fine polish must be cheaper than the flat search it replaces.
         flat = SGLA(SGLAConfig(eps=1e-4, seed=3)).fit(mvag)
         assert stats.refine_evaluations < flat.n_objective_evaluations
-
-    def test_landmark_backend(self, mvag):
-        result = SGLA(
-            _multilevel_config(coarsen_backend="landmark")
-        ).fit(mvag)
-        assert result.coarsen_stats.backend == "landmark"
-        assert result.coarsen_stats.levels[-1] < mvag.n_nodes
-        np.testing.assert_allclose(result.weights.sum(), 1.0, atol=1e-9)
 
     def test_sgla_plus_path(self, mvag):
         result = SGLAPlus(_multilevel_config()).fit(mvag)
@@ -194,14 +182,11 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             SGLAConfig(coarsen_levels=-1)
 
-    def test_empty_backend_rejected(self):
-        with pytest.raises(ValidationError):
-            SGLAConfig(coarsen_backend="")
-
-    def test_unknown_backend_fails_at_fit(self, mvag):
-        config = SGLAConfig(coarsen_levels=1, coarsen_backend="nope")
-        with pytest.raises(ValidationError, match="nope"):
-            SGLA(config).fit(mvag)
+    def test_removed_coarsen_knobs_refused(self):
+        with pytest.raises(TypeError):
+            SGLAConfig(coarsen_backend="landmark")
+        with pytest.raises(TypeError):
+            SGLAConfig(coarsen_params={"ratio": 0.25})
 
 
 class TestCLI:
@@ -209,44 +194,43 @@ class TestCLI:
         code = main(["cluster", "rm", "--method", "sgla", "--coarsen", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "coarsen:" in out
-        assert "heavy-edge" in out
+        assert "coarsen: [" in out
 
-    def test_coarsen_backend_choice(self, capsys):
-        code = main(
-            ["cluster", "rm", "--method", "sgla", "--coarsen", "1",
-             "--coarsen-backend", "landmark"]
-        )
-        assert code == 0
-        assert "landmark" in capsys.readouterr().out
+    def test_coarsen_backend_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["cluster", "rm", "--method", "sgla", "--coarsen", "1",
+                 "--coarsen-backend", "landmark"]
+            )
+        assert excinfo.value.code == 2
+        assert "--coarsen-backend" in capsys.readouterr().err
 
 
-class TestDynamicGuard:
+class TestDynamicStreams:
     @pytest.fixture(scope="class")
     def streamed(self):
-        # rp-forest only engages above RP_FOREST_MIN_N (512) nodes;
-        # smaller streams silently resolve to exact and no rerouting
-        # state exists to protect.
+        # rp-forest only engages above RP_FOREST_MIN_N (512) nodes.
         return generate_mvag(
             600, 4, graph_view_strengths=(0.7,), attribute_view_dims=(8,),
             seed=13,
         )
 
-    def test_rejects_ladder_on_live_rerouted_stream(self, streamed):
+    def test_ladder_fits_and_refreshes_rp_forest_stream(self, streamed):
+        # Every refit builds its own hierarchy from the current
+        # Laplacians, so the ladder needs no guard on streams.
         dynamic = DynamicMVAG(streamed, knn_k=5, knn_backend="rp-forest")
-        assert dynamic.uses_live_forest_rerouting
-        lazy = LazySGLA(k=4, config=SGLAConfig(coarsen_levels=1))
-        with pytest.raises(ValidationError, match="rp-forest"):
-            lazy.fit(dynamic)
-
-    def test_refresh_also_guarded(self, streamed):
-        exact = DynamicMVAG(streamed, knn_k=5, knn_backend="exact")
-        assert not exact.uses_live_forest_rerouting
-        lazy = LazySGLA(k=4, config=SGLAConfig(coarsen_levels=1))
-        lazy.fit(exact)  # exact backend: allowed
-        rerouted = DynamicMVAG(streamed, knn_k=5, knn_backend="rp-forest")
-        with pytest.raises(ValidationError, match="rp-forest"):
-            lazy.refresh(rerouted)
+        lazy = LazySGLA(
+            k=4, config=SGLAConfig(coarsen_levels=1), drift_threshold=0.0
+        )
+        lazy.fit(dynamic)
+        rng = np.random.default_rng(0)
+        for node in (3, 77, 410):
+            dynamic.update_attributes(0, node, rng.standard_normal(8))
+        report = lazy.refresh(dynamic)
+        assert report.refitted
+        assert report.weights.shape == (2,)
+        np.testing.assert_allclose(report.weights.sum(), 1.0, atol=1e-9)
+        assert dynamic.neighbor_stats.by_backend == {"rp-forest": 2}
 
     def test_flat_config_streams_freely(self, streamed):
         dynamic = DynamicMVAG(streamed, knn_k=5, knn_backend="rp-forest")

@@ -169,6 +169,50 @@ class TestRegistry(RegistryContract):
         assert resolve_backend(100, 10, "exact-f32") == "exact-f32"
 
 
+class TestBackendParams:
+    """Each backend declares the ``backend_params`` keys it reads, and
+    ``knn_graph`` refuses any other key for the *requested* backend."""
+
+    FEATURES = np.random.default_rng(3).standard_normal((40, 6))
+    RP_FOREST_KEYS = (
+        "n_trees", "leaf_size", "refine_iters", "refine_fanout", "sketch_dim",
+    )
+
+    @pytest.mark.parametrize("params", [{"n_tree": 4}, {"spill": 0.1}])
+    def test_unknown_rp_forest_keys_refused(self, params):
+        with pytest.raises(ValidationError) as excinfo:
+            knn_graph(
+                self.FEATURES, k=3, backend="rp-forest",
+                backend_params=params,
+            )
+        message = str(excinfo.value)
+        assert repr(next(iter(params))) in message
+        for key in self.RP_FOREST_KEYS:
+            assert key in message
+
+    def test_keys_checked_against_requested_backend(self):
+        with pytest.raises(ValidationError, match="no params"):
+            knn_graph(
+                self.FEATURES, k=3, backend="exact",
+                backend_params={"n_trees": 4},
+            )
+        with pytest.raises(ValidationError, match="tie_margin"):
+            knn_graph(
+                self.FEATURES, k=3, backend="exact-f32",
+                backend_params={"n_trees": 4},
+            )
+
+    def test_fallback_and_auto_accept_rp_forest_keys(self):
+        # n=40 resolves both requests to exact, which ignores the keys.
+        params = {"n_trees": 4, "leaf_size": 64}
+        exact = knn_graph(self.FEATURES, k=3)
+        for backend in ("rp-forest", "auto"):
+            graph = knn_graph(
+                self.FEATURES, k=3, backend=backend, backend_params=params
+            )
+            assert_bit_identical(exact, graph)
+
+
 # --------------------------------------------------------------------- #
 # exact backend: bit identity with the pre-subsystem implementation
 # --------------------------------------------------------------------- #
@@ -384,89 +428,6 @@ class TestRPForest:
         assert is_symmetric(graph)
         assert graph.nnz > 0
 
-    def test_forest_reuse_matches_fresh(self):
-        features = manifold_features(1500, 24, seed=7)
-        normalized = normalize_rows(features)
-        forest = RPForest(normalized, n_trees=4, leaf_size=64, seed=0)
-        fresh = knn_graph(
-            features, k=8, backend="rp-forest",
-            backend_params={"n_trees": 4, "leaf_size": 64},
-        )
-        reused = knn_graph(
-            features, k=8, backend="rp-forest",
-            backend_params={"forest": forest},
-        )
-        assert (fresh != reused).nnz == 0
-
-    def test_update_row_reroutes_all_trees(self):
-        features = manifold_features(600, 16, seed=8)
-        normalized = normalize_rows(features)
-        forest = RPForest(normalized, n_trees=3, leaf_size=32, seed=0)
-        new_row = normalize_rows(
-            np.random.default_rng(9).standard_normal((1, 16))
-        )[0]
-        forest.update_row(11, new_row.astype(np.float32))
-        for tree in forest.trees:
-            leaf = tree.route(new_row.astype(np.float32))
-            assert tree.leaf_of[11] == leaf
-            assert 11 in tree.leaves[leaf]
-
-    def test_update_row_with_spill_never_duplicates_membership(self):
-        # A reroute into a leaf that already holds a spilled copy of the
-        # row must not create a second copy (a duplicate would surface a
-        # self-pair candidate that wastes one of the node's k slots).
-        features = manifold_features(800, 16, seed=13)
-        normalized = normalize_rows(features)
-        forest = RPForest(
-            normalized, n_trees=4, leaf_size=48, seed=0, spill=0.2
-        )
-        rng = np.random.default_rng(14)
-        for step in range(40):
-            index = int(rng.integers(800))
-            row = normalize_rows(rng.standard_normal((1, 16)))[0]
-            forest.update_row(index, row.astype(np.float32))
-            for tree in forest.trees:
-                leaf = tree.leaves[int(tree.leaf_of[index])]
-                assert leaf.count(index) == 1
-
-    def test_streamed_scatter_matches_materialized_merge(self):
-        # The spill-free build scatters each scored chunk straight into
-        # the merge tables; the result must be bit-identical to
-        # materializing the full triplet stream and scattering once
-        # (the pre-PR-7 path, kept for spilled forests).
-        from repro.neighbors.rp_forest import (
-            RPForest,
-            _finish_scatter_tables,
-            _leaf_scatter,
-            _leaf_triplets,
-            _scatter_merge_top_k,
-        )
-
-        k = 7
-        for features in (
-            manifold_features(1100, 24, seed=21),
-            sp.random(1100, 40, density=0.1, format="csr", random_state=3),
-        ):
-            normalized = normalize_rows(features)
-            low = normalized.astype(np.float32)
-            forest = RPForest(low, n_trees=4, leaf_size=40, seed=2)
-            n = low.shape[0]
-            width = forest.n_trees * k
-            col_table = np.full((n, width), -1, dtype=np.int64)
-            val_table = np.full((n, width), -np.inf)
-            scored = _leaf_scatter(low, forest, k, col_table, val_table)
-            streamed = _finish_scatter_tables(col_table, val_table, k)
-
-            rows, cols, vals, slots, scored_ref = _leaf_triplets(
-                low, forest, k
-            )
-            reference = _scatter_merge_top_k(
-                rows, cols, vals, slots, n, width, k
-            )
-            assert scored == scored_ref
-            assert np.array_equal(streamed[0], reference[0])
-            assert np.array_equal(streamed[1], reference[1])
-
     def test_finish_blocking_is_invariant(self, monkeypatch):
         # The dedup/top-k finish runs in row blocks purely to bound its
         # sort temporaries; any block size must give the same tables.
@@ -504,21 +465,6 @@ class TestRPForest:
             exact, base
         )
 
-    def test_spill_improves_recall(self):
-        features = manifold_features(3000, 32, latent_dim=12, seed=11)
-        exact = knn_graph(features, k=10)
-        plain = knn_graph(
-            features, k=10, backend="rp-forest",
-            backend_params={"n_trees": 3, "leaf_size": 64},
-        )
-        spilled = knn_graph(
-            features, k=10, backend="rp-forest",
-            backend_params={"n_trees": 3, "leaf_size": 64, "spill": 0.1},
-        )
-        assert directed_recall(exact, spilled) > directed_recall(
-            exact, plain
-        )
-
     def test_invalid_params_rejected(self):
         features = manifold_features(600, 8, seed=12)
         normalized = normalize_rows(features)
@@ -526,8 +472,6 @@ class TestRPForest:
             RPForest(normalized, n_trees=0)
         with pytest.raises(ValidationError):
             RPForest(normalized, leaf_size=1)
-        with pytest.raises(ValidationError):
-            RPForest(normalized, spill=0.6)
 
 
 # --------------------------------------------------------------------- #

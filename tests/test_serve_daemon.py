@@ -335,6 +335,31 @@ class TestAbandonment:
                     {"kind": "cluster", "profile": PROFILE}
                 )["ok"]
 
+    def test_bad_frames_drop_only_their_connection(
+        self, daemon, monkeypatch
+    ):
+        # Bad magic and a header declaring 2^40 body bytes each close
+        # their own connection at once: no body is buffered, no
+        # exception escapes the connection thread, and the daemon
+        # keeps answering.
+        import struct
+
+        from repro.shard.remote import DIGEST_SIZE, MAGIC
+
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        host, port = daemon.address.rsplit(":", 1)
+        for frame in (
+            b"XXXX" + b"\x00" * (8 + DIGEST_SIZE),
+            MAGIC + struct.pack(">Q", 2**40) + b"\x00" * DIGEST_SIZE,
+        ):
+            with socket.create_connection((host, int(port)), 5.0) as sock:
+                sock.sendall(frame)
+                assert sock.recv(1) == b""  # the daemon hung up
+        with ServeClient(daemon.address) as client:
+            assert client.ping()
+        assert escaped == []
+
     def test_malformed_request_gets_structured_error(self, client):
         from repro.serve.protocol import reply_to_error
 

@@ -120,11 +120,11 @@ def test_shard_line():
 
 def test_coarsen_line():
     stats = CoarsenStats(
-        backend="heavy-edge", levels=[2000, 1000, 500], coarse_solves=30,
-        fine_solves=4, coarsen_seconds=0.125, refine_evaluations=3,
+        levels=[2000, 1000, 500], coarse_solves=30, fine_solves=4,
+        coarsen_seconds=0.125, refine_evaluations=3,
     )
     assert stats.summary() == (
-        "heavy-edge [2000 -> 1000 -> 500] 30 coarse / 4 fine eigensolves, "
+        "[2000 -> 1000 -> 500] 30 coarse / 4 fine eigensolves, "
         "hierarchy 0.125s"
     )
 
