@@ -26,11 +26,11 @@ Six legs against a live daemon on loopback TCP (DESIGN.md §13, §15):
   must jump the backlog (interactive p99 queue wait below the batch
   p50) while every batch request still completes (aging bounds
   starvation in both directions);
-* **chaos** (full mode) — executors run remote-backend shard contexts
-  with a seeded ``FaultPlan``; mid-traffic every spawned worker fleet is
-  hard-killed.  The daemon must keep serving (degradation ladder:
-  ``remote -> process -> serial``), results must stay bit-identical, and
-  the health endpoint must report the degradation rung.
+* **chaos** (full mode) — executors run process-pool shard contexts
+  with a seeded ``FaultPlan``; between two request rounds every pool
+  process is SIGKILLed.  The daemon must keep serving (the next
+  dispatch re-forks the pool and retries), and both rounds must be
+  bit-identical to direct in-process ``cluster_mvag``.
 
 Runs as a plain script (``--smoke`` for the CI leg — everything but
 chaos on a small profile — ``--json`` to echo the machine-readable
@@ -42,7 +42,6 @@ from __future__ import annotations
 import sys
 import threading
 import time
-import warnings
 from pathlib import Path
 
 # Importable both under pytest (benchmarks/conftest.py) and as a script.
@@ -51,7 +50,7 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 import numpy as np
 
-from harness import emit, emit_json, format_table
+from harness import emit, emit_json, format_table, kill_pool
 from repro.core.objective import SpectralObjective
 from repro.core.pipeline import cluster_mvag
 from repro.core.sgla import SGLAConfig, prepare_laplacians
@@ -63,7 +62,7 @@ from repro.serve import (
     ServerOverloaded,
 )
 from repro.serve.stats import percentile
-from repro.shard import FaultPlan, ShardContext, ShardDegradation
+from repro.shard import FaultPlan, ShardContext
 from repro.solvers import SolverContext
 
 PROFILE_SMOKE = "rm_small"
@@ -471,8 +470,8 @@ def leg_chaos(profile: str, requests: int) -> dict:
 
     def shard_factory():
         context = ShardContext(
-            workers=2, backend="remote", min_items=0, min_bytes=0,
-            timeout=15.0, fault_plan=CHAOS_PLAN, remote_respawn=False,
+            workers=2, min_items=0, min_bytes=0, timeout=15.0,
+            fault_plan=CHAOS_PLAN,
         )
         contexts.append(context)
         return context
@@ -481,8 +480,8 @@ def leg_chaos(profile: str, requests: int) -> dict:
     # is the parent-side seed solve in shard_objective_batch and never
     # reaches a worker, whereas every cluster request fans its per-view
     # Laplacian builds and weight-batch eigensolves through the shard
-    # context — the fleet is genuinely on the serving path, so killing
-    # it exercises the degradation ladder.
+    # context — the pool is genuinely on the serving path, so killing
+    # it exercises the re-fork and retry.
     seeds = list(range(requests))
 
     def direct_outcome(seed: int) -> tuple:
@@ -502,30 +501,33 @@ def leg_chaos(profile: str, requests: int) -> dict:
         return (result["labels"].tolist(), result["objective_value"])
 
     direct = [direct_outcome(seed) for seed in seeds]
-    config = ServeConfig(bind="127.0.0.1:0", workers=1, queue_depth=64)
-    with warnings.catch_warnings():
-        warnings.simplefilter("always", ShardDegradation)
-        with ServeDaemon(config, shard_factory=shard_factory) as daemon:
-            with ServeClient(daemon.address, timeout=300.0) as client:
-                before = [served_outcome(client, s) for s in seeds]
-                # Kill every spawned worker fleet mid-service; with
-                # respawn off the remote rung is gone for good.
-                for context in contexts:
-                    context.remote_fleet().kill_all()
-                after = [served_outcome(client, s) for s in seeds]
-                health = client.health(timeout=30.0)
+    # No result cache: the second round repeats the first round's
+    # requests, and must recompute them on the re-forked pool.
+    config = ServeConfig(
+        bind="127.0.0.1:0", workers=1, queue_depth=64, result_cache=False
+    )
+    with ServeDaemon(config, shard_factory=shard_factory) as daemon:
+        with ServeClient(daemon.address, timeout=300.0) as client:
+            before = [served_outcome(client, s) for s in seeds]
+            # Every request has answered, so the executors are idle:
+            # kill their pool processes between the two rounds.
+            killed = sum(kill_pool(context) for context in contexts)
+            retries_before = sum(c.stats.retries for c in contexts)
+            after = [served_outcome(client, s) for s in seeds]
+            retries_after = sum(c.stats.retries for c in contexts)
     return {
         "leg": "chaos",
         "requests_before_kill": requests,
         "requests_after_kill": requests,
-        "degradation_rung": health["shard"]["degradation_rung"],
-        "effective_backends": health["shard"]["effective_backends"],
+        "killed_processes": killed,
+        "retries_after_kill": retries_after - retries_before,
         "before_bit_identical": before == direct,
         "after_bit_identical": after == direct,
         "ok": (
             before == direct
             and after == direct
-            and health["shard"]["degradation_rung"] > 0
+            and killed > 0
+            and retries_after > retries_before
         ),
     }
 

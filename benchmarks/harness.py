@@ -4,7 +4,8 @@ Every benchmark regenerates one table or figure of the paper's evaluation
 section on the synthetic dataset profiles (DESIGN.md §3-4).  This module
 centralizes: dataset loading (cached), the method registries for clustering
 and embedding, failure-tolerant runners (a ``MemoryError`` becomes a ``-``
-cell exactly like the paper's OOM entries), and plain-text table rendering.
+cell exactly like the paper's OOM entries), plain-text table rendering,
+and the shard-pool kill the chaos legs share.
 
 Results are printed through ``capsys.disabled()`` by the benches (so they
 survive pytest's capture into ``bench_output.txt``) and also written under
@@ -14,6 +15,8 @@ survive pytest's capture into ``bench_output.txt``) and also written under
 from __future__ import annotations
 
 import json
+import os
+import signal
 import time
 from functools import lru_cache
 from pathlib import Path
@@ -232,3 +235,23 @@ def emit_json(name: str, payload: dict, echo: bool = False) -> dict:
     if echo:  # pragma: no cover - direct script usage
         print(text)
     return payload
+
+
+def kill_pool(shard, timeout: float = 30.0) -> int:
+    """SIGKILL every process of ``shard``'s pool; wait until it is broken.
+
+    Returns how many processes were killed (0 when the context never
+    dispatched).  Waiting for the executor to mark itself broken makes
+    the next dispatch meet the dead pool at submit, not only at result
+    collection.
+    """
+    executor = shard.executor()
+    processes = list(executor._processes.values())
+    for process in processes:
+        os.kill(process.pid, signal.SIGKILL)
+    expires_at = time.monotonic() + timeout
+    while processes and not executor._broken:
+        if time.monotonic() > expires_at:
+            break
+        time.sleep(0.01)
+    return len(processes)

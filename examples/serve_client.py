@@ -97,8 +97,7 @@ def main() -> None:
             print(
                 f"health: {health['queue_depth']} queued, "
                 f"{totals['completed']} completed, "
-                f"{totals['batched']} batched, "
-                f"degradation rung {health['shard']['degradation_rung']}"
+                f"{totals['batched']} batched"
             )
 
             # --- graceful drain -----------------------------------------

@@ -41,8 +41,6 @@ from repro.neighbors import NeighborStats, RPForest
 from repro.neighbors import available_backends as available_knn_backends
 from repro.neighbors import register_backend as register_knn_backend
 from repro.shard import ShardContext, ShardPlan, ShardStats
-from repro.shard import available_backends as available_shard_backends
-from repro.shard import register_backend as register_shard_backend
 from repro.solvers import (
     SolverContext,
     SolverStats,
@@ -88,9 +86,7 @@ __all__ = [
     "SolverStats",
     "available_backends",
     "available_knn_backends",
-    "available_shard_backends",
     "register_backend",
     "register_knn_backend",
-    "register_shard_backend",
     "__version__",
 ]

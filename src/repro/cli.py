@@ -40,7 +40,6 @@ from repro.evaluation.classification import evaluate_embedding
 from repro.evaluation.clustering_metrics import clustering_report
 from repro.neighbors import NeighborStats
 from repro.neighbors import available_backends as available_knn_backends
-from repro.shard import available_backends as available_shard_backends
 from repro.shard import shard_scope
 from repro.solvers import available_backends
 from repro.utils.errors import ReproError
@@ -152,22 +151,12 @@ def _add_solver_args(subparser) -> None:
         "value >= 1 (unset/0 disables sharding)",
     )
     subparser.add_argument(
-        "--shard-backend",
-        default="process",
-        choices=available_shard_backends(),
-        help="shard dispatch strategy from the repro.shard registry "
-        "('process' = local pool, 'remote' = TCP worker hosts spawned "
-        "via python -m repro.shard.worker, 'serial' = in-process "
-        "reference); requires --shard-workers",
-    )
-    subparser.add_argument(
         "--shard-retries",
         type=int,
         default=2,
-        help="retry attempts beyond the first per ladder rung for "
-        "failed/timed-out shards (failed shards are re-planned onto "
-        "healthy workers; exhausted rungs degrade "
-        "remote -> process -> serial)",
+        help="retry attempts beyond the first for failed/timed-out "
+        "shards (failed shards are re-planned onto a freshly forked "
+        "pool)",
     )
     subparser.add_argument(
         "--shard-deadline",
@@ -197,7 +186,6 @@ def _solver_config(args, **extra) -> SGLAConfig:
         eigen_backend=args.eigen_backend,
         solver_workers=args.solver_workers,
         shard_workers=args.shard_workers,
-        shard_backend=args.shard_backend,
         shard_retries=args.shard_retries,
         shard_deadline=args.shard_deadline,
         coarsen_levels=args.coarsen,
@@ -366,16 +354,9 @@ def _cmd_serve_stats(args) -> int:
             f"{health['inflight_bytes']} bytes in flight"
             f"{', draining' if health['draining'] else ''}"
         )
-        shard = health["shard"]
-        if shard["contexts"]:
-            quarantined = shard["quarantined_workers"]
-            print(
-                f"shard: rung {shard['degradation_rung']} "
-                f"({'/'.join(shard['effective_backends'])}), "
-                f"{shard['degradations']} degradations, "
-                f"{len(quarantined)} quarantined"
-                + (f" ({', '.join(quarantined)})" if quarantined else "")
-            )
+        contexts = health["shard"]["contexts"]
+        if contexts:
+            print(f"shard: {contexts} executor contexts")
     if args.tenants:
         for name, tenant in health["stats"]["tenants"].items():
             print(

@@ -98,19 +98,16 @@ class SGLAConfig:
         fans view Laplacian builds and SGLA+ weight-batch eigensolves
         out over a persistent process pool with shared-memory payload
         transfer.  Results are bit-identical for every value ``>= 1``.
-    shard_backend:
-        Dispatch strategy from the :mod:`repro.shard` registry
-        (``"process"`` default; ``"serial"`` forces in-process execution
-        at any worker count, for debugging and plugins; ``"remote"``
-        dispatches to TCP worker hosts — spawned locally by default,
-        see :mod:`repro.shard.remote`).
     shard_retries:
-        Retry attempts beyond the first per ladder rung for failed or
-        timed-out shards (DESIGN.md §11; default 2 = three attempts).
+        Retry attempts beyond the first for failed or timed-out shards
+        (DESIGN.md §11; default 2 = three attempts).  Each retry
+        re-dispatches only the still-pending items, onto a freshly
+        forked pool if the old one died or hung.
     shard_deadline:
         Per-attempt shard deadline in seconds (``None`` waits
-        indefinitely).  Each retry gets a fresh budget; an exhausted
-        rung degrades down the ``remote -> process -> serial`` ladder.
+        indefinitely).  Each retry gets a fresh budget; once the
+        retries are exhausted the dispatch raises a structured
+        :class:`~repro.utils.errors.ShardError`.
     coarsen_levels:
         Depth of the multilevel ladder (DESIGN.md §12).  ``0`` (default)
         is the flat path — bit-identical to configurations that predate
@@ -137,7 +134,6 @@ class SGLAConfig:
     warm_start: bool = True
     tol_ladder: bool = True
     shard_workers: Optional[int] = None
-    shard_backend: str = "process"
     shard_retries: int = 2
     shard_deadline: Optional[float] = None
     coarsen_levels: int = 0
@@ -196,7 +192,6 @@ class SGLAConfig:
             return None
         return ShardContext(
             workers=self.shard_workers,
-            backend=self.shard_backend,
             retries=self.shard_retries,
             timeout=self.shard_deadline,
         )

@@ -105,7 +105,7 @@ class DynamicMVAG:
         parallel over the process pool, one shard per view, using the
         cached row-normalized features (bit-identical to the in-process
         rebuild, for every backend).
-    shard_workers, shard_backend:
+    shard_workers:
         Shortcut that lazily creates an owned context (mirrors
         :class:`repro.core.sgla.SGLAConfig`).
 
@@ -123,7 +123,6 @@ class DynamicMVAG:
         knn_params: Optional[dict] = None,
         shard: Optional[ShardContext] = None,
         shard_workers: Optional[int] = None,
-        shard_backend: str = "process",
     ) -> None:
         self._n = mvag.n_nodes
         self._knn_k = int(knn_k)
@@ -150,9 +149,7 @@ class DynamicMVAG:
         self._shard = shard
         self._owns_shard = False
         if shard is None and shard_workers:
-            self._shard = ShardContext(
-                workers=shard_workers, backend=shard_backend
-            )
+            self._shard = ShardContext(workers=shard_workers)
             self._owns_shard = True
 
     # ------------------------------------------------------------------ #

@@ -2,7 +2,7 @@
 
 ``python -m repro.serve --bind HOST:PORT`` hosts a long-lived daemon
 accepting framed-TCP requests (the MAGIC|len|keyed-BLAKE2b-MAC|pickle
-wire protocol of :mod:`repro.shard.remote`) for cluster / embed /
+wire protocol of :mod:`repro.serve.protocol`) for cluster / embed /
 objective jobs and runs them through the existing pipeline on shared
 per-worker :class:`~repro.shard.ShardContext`\\ s.  The robustness core:
 
@@ -37,13 +37,14 @@ per-worker :class:`~repro.shard.ShardContext`\\ s.  The robustness core:
   tenant's traffic can never perturb another's numbers;
 * **graceful lifecycle** — SIGTERM drains in-flight work and exits 0;
   ``health`` / ``stats`` ops answer immediately even under overload and
-  report queue depth, the shard degradation rung, and quarantine
-  counters; a crashed worker fleet triggers the PR 6 degradation ladder
-  while the daemon keeps serving.
+  report queue depth, cache counters and the executor shard contexts;
+  a killed shard pool process is retried around on a freshly forked
+  pool while the daemon keeps serving.
 
 Gate: ``benchmarks/bench_serve.py`` (QPS + latency percentiles under
 concurrent clients, the overload/shedding contract, batching
-bit-identity, and a chaos leg killing shard workers mid-traffic).
+bit-identity, and a chaos leg killing shard pool processes between
+request rounds).
 
 On top of single daemons sits the **replicated front tier**
 (DESIGN.md §14): ``python -m repro.serve.router`` places requests on a

@@ -8,8 +8,10 @@ Lifecycle: SIGTERM (and SIGINT) triggers a graceful drain — new
 admissions are refused with :class:`~repro.utils.errors.ServerDraining`,
 in-flight requests finish within ``--drain-grace`` seconds — then the
 process prints its final ``serve:`` stats line on stderr and exits 0.
-A bind failure (port already in use, bad address) is a clean one-line
-``error: ...`` and exit 2, never a traceback.
+A bind failure (port already in use, bad address) or a bad flag value
+(including a malformed ``--faults`` plan or a shard setting the shard
+contexts refuse) is a clean one-line ``error: ...`` and exit 2, never a
+traceback, and never a ``READY`` line.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional
 
 from repro.serve.config import ServeConfig
 from repro.serve.daemon import ServeDaemon
-from repro.shard.remote import resolve_authkey
+from repro.serve.protocol import resolve_authkey
 from repro.utils.errors import ReproError, ValidationError
 
 
@@ -55,14 +57,23 @@ def _shard_factory(args):
     if args.faults:
         from repro.shard.faults import plan_from_dict
 
-        fault_plan = plan_from_dict(json.loads(args.faults))
+        try:
+            payload = json.loads(args.faults)
+        except json.JSONDecodeError as error:
+            raise ValidationError(
+                f"--faults must be a JSON object: {error}"
+            ) from None
+        if not isinstance(payload, dict):
+            raise ValidationError(
+                f"--faults must be a JSON object, got {args.faults!r}"
+            )
+        fault_plan = plan_from_dict(payload)
 
     def factory():
         from repro.shard import ShardContext
 
         return ShardContext(
             workers=args.shard_workers,
-            backend=args.shard_backend,
             fault_plan=fault_plan,
             min_items=args.shard_min_items,
             min_bytes=args.shard_min_bytes,
@@ -124,8 +135,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--shard-workers", type=int, default=0,
                         help="per-executor ShardContext worker count "
                              "(0 = serve in-process)")
-    parser.add_argument("--shard-backend", default="process",
-                        help="shard backend for executor contexts")
     parser.add_argument("--shard-min-items", type=int, default=2,
                         help="shard serial-fallback item threshold")
     parser.add_argument("--shard-min-bytes", type=int, default=1 << 20,

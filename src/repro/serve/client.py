@@ -28,13 +28,13 @@ import socket
 import time
 from typing import Any, Dict, Optional
 
-from repro.serve.protocol import reply_to_error
-from repro.shard.remote import (
+from repro.serve.protocol import (
     CONNECT_TIMEOUT,
     DEFAULT_AUTHKEY,
     FrameCorrupted,
     parse_address,
     recv_frame,
+    reply_to_error,
     send_frame,
 )
 from repro.utils.errors import ServeError

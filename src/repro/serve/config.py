@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.shard.remote import DEFAULT_AUTHKEY, parse_address
+from repro.serve.protocol import DEFAULT_AUTHKEY, parse_address
 from repro.utils.errors import ValidationError
 
 

@@ -15,16 +15,17 @@ shares with the router):
   frees its queue slot immediately);
 * ``workers`` **executor** threads, each owning a persistent
   :class:`~repro.shard.ShardContext` (when a ``shard_factory`` is
-  given).  A worker takes the fair-queue head, coalesces compatible
-  objective requests into one batch, propagates the request's remaining
-  deadline into the shard context's per-attempt deadline (thread-owned
-  context, so the write is race-free), and runs the job.
+  given; :meth:`ServeDaemon.start` builds them before any thread starts,
+  so a bad shard setting fails startup instead of killing executors).
+  A worker takes the fair-queue head, coalesces compatible objective
+  requests into one batch, propagates the request's remaining deadline
+  into the shard context's per-attempt deadline (thread-owned context,
+  so the write is race-free), and runs the job.
 
 ``health`` / ``stats`` ops are answered inline on the connection thread
 — they never touch the queue, so monitoring keeps working while the
-queue is sheddding load.  A crashed shard fleet surfaces through the
-resilience ladder (the daemon's health payload reports the rung and
-quarantine counters) while the daemon keeps serving.
+queue is shedding load.  A shard pool process that dies is retried
+around on a freshly forked pool while the daemon keeps serving.
 
 SIGTERM handling lives in :mod:`repro.serve.__main__`; this class only
 exposes the mechanism (:meth:`drain` + :meth:`stop`).
@@ -36,9 +37,11 @@ import os
 import pickle
 import select
 import socket
+import subprocess
+import sys
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.serve.config import ServeConfig
 from repro.serve.jobs import (
@@ -52,7 +55,6 @@ from repro.serve.protocol import FrameServer, error_reply
 from repro.serve.queue import AdmissionQueue, RequestEntry
 from repro.serve.results import ResultCache, result_key
 from repro.serve.stats import ServeStats
-from repro.shard.remote import SpawnedProcess, spawn_server
 from repro.utils.errors import ServeError
 
 #: slice used when a connection thread waits on an entry — bounds how
@@ -83,9 +85,10 @@ class ServeDaemon(FrameServer):
     shard_factory:
         Optional zero-argument callable returning a fresh
         :class:`~repro.shard.ShardContext`; called once per executor
-        thread (each worker owns its context for the daemon's lifetime —
-        required for race-free per-request deadline propagation).
-        ``None`` serves everything through the in-process serial path.
+        thread by :meth:`start` (each worker owns its context for the
+        daemon's lifetime — required for race-free per-request deadline
+        propagation).  ``None`` serves everything through the
+        in-process serial path.
     """
 
     role = "serve"
@@ -129,7 +132,6 @@ class ServeDaemon(FrameServer):
         self._parked: set = set()
         self._workers: List[threading.Thread] = []
         self._shards: List[Any] = []
-        self._shards_lock = threading.Lock()
         self._drain_requested = threading.Event()
 
     # ------------------------------------------------------------------ #
@@ -137,11 +139,29 @@ class ServeDaemon(FrameServer):
     # ------------------------------------------------------------------ #
 
     def start(self) -> str:
-        """Bind, listen, start threads; returns the actual ``host:port``."""
-        address = self._open_front()
-        for index in range(self.config.workers):
+        """Bind, listen, start threads; returns the actual ``host:port``.
+
+        Every executor's shard context is built first (a context forks
+        nothing until its first dispatch), so a failing
+        ``shard_factory`` raises out of here with nothing listening.
+        """
+        shards = []
+        try:
+            for _ in range(self.config.workers):
+                shards.append(
+                    self.shard_factory() if self.shard_factory else None
+                )
+            address = self._open_front()
+        except BaseException:
+            for shard in shards:
+                if shard is not None:
+                    shard.close()
+            raise
+        self._shards = [shard for shard in shards if shard is not None]
+        for index, shard in enumerate(shards):
             worker = threading.Thread(
                 target=self._worker_loop,
+                args=(shard,),
                 name=f"repro-serve-worker-{index}",
                 daemon=True,
             )
@@ -170,8 +190,7 @@ class ServeDaemon(FrameServer):
         self.worker_gate.set()
         for worker in self._workers:
             worker.join(timeout=5)
-        with self._shards_lock:
-            shards, self._shards = self._shards[:], []
+        shards, self._shards = self._shards, []
         for shard in shards:
             try:
                 shard.close()
@@ -185,24 +204,6 @@ class ServeDaemon(FrameServer):
 
     def health_snapshot(self) -> Dict[str, Any]:
         """The health/stats payload (also what the CLI renders from)."""
-        with self._shards_lock:
-            shards = list(self._shards)
-        rung = 0
-        backends = set()
-        quarantined: List[str] = []
-        degradations = 0
-        workers_quarantined = 0
-        for shard in shards:
-            director = shard.director
-            rung = max(rung, director._rung)
-            backends.add(director.effective_backend(shard.backend))
-            quarantined.extend(
-                worker
-                for worker in list(director._health)
-                if director.is_quarantined(worker)
-            )
-            degradations += shard.stats.degradations
-            workers_quarantined += shard.stats.workers_quarantined
         return {
             "ok": True,
             "address": self.address,
@@ -211,14 +212,7 @@ class ServeDaemon(FrameServer):
             "running": self.queue.running,
             "inflight_bytes": self.queue.inflight_bytes,
             "queue_capacity": self.config.queue_depth,
-            "shard": {
-                "contexts": len(shards),
-                "degradation_rung": rung,
-                "effective_backends": sorted(backends),
-                "quarantined_workers": sorted(set(quarantined)),
-                "degradations": degradations,
-                "workers_quarantined": workers_quarantined,
-            },
+            "shard": {"contexts": len(self._shards)},
             "cache": self.datasets.snapshot(),
             "results": (
                 self.results.snapshot()
@@ -313,15 +307,6 @@ class ServeDaemon(FrameServer):
     # Executor threads
     # ------------------------------------------------------------------ #
 
-    def _make_shard(self):
-        if self.shard_factory is None:
-            return None
-        shard = self.shard_factory()
-        if shard is not None:
-            with self._shards_lock:
-                self._shards.append(shard)
-        return shard
-
     def hold_workers(self, timeout: float = 10.0) -> bool:
         """Test hook: freeze every executor thread at the gate.
 
@@ -337,8 +322,7 @@ class ServeDaemon(FrameServer):
             time.sleep(0.005)
         return False
 
-    def _worker_loop(self) -> None:
-        shard = self._make_shard()
+    def _worker_loop(self, shard) -> None:
         name = threading.current_thread().name
         while not self._stopping.is_set():
             if not self.worker_gate.is_set():
@@ -427,8 +411,98 @@ class ServeDaemon(FrameServer):
 
 
 # ---------------------------------------------------------------------- #
-# Subprocess helper (tests, benchmarks, examples)
+# Subprocess helpers (tests, benchmarks, examples)
 # ---------------------------------------------------------------------- #
+
+class SpawnedProcess:
+    """A server subprocess owned by this process (spawn, watch, stop)."""
+
+    def __init__(self, process: subprocess.Popen, address: str) -> None:
+        self.process = process
+        self.address = address
+
+    def alive(self) -> bool:
+        return self.process.poll() is None
+
+    def terminate(self) -> None:
+        """Send SIGTERM (the graceful-drain signal)."""
+        if self.alive():
+            self.process.terminate()
+
+    def wait(self, timeout: float = 30.0) -> Optional[int]:
+        """The exit code, or ``None`` if still running after ``timeout``."""
+        try:
+            return self.process.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return None
+
+    def kill(self) -> None:
+        """SIGKILL (if still running), reap, and close the pipes."""
+        if self.alive():
+            try:
+                self.process.kill()
+            except OSError:
+                pass
+        self.wait(timeout=5)
+        for stream in (self.process.stdout, self.process.stderr):
+            if stream is not None:
+                try:
+                    stream.close()
+                except OSError:
+                    pass
+
+
+def spawn_server(
+    module: str,
+    argv: Sequence[str],
+    ready_tag: str,
+    error: type,
+    capture_stderr: bool = False,
+    authkey: Optional[bytes] = None,
+) -> SpawnedProcess:
+    """Start ``python -m module *argv`` and wait for its ready line.
+
+    Every server entry point binds (port 0 picks a free port) and then
+    prints ``<ready_tag> host port pid`` on stdout; blocking on that
+    line beats polling the port.  Anything else raises ``error`` with
+    what the child printed.  ``authkey`` reaches the child through
+    ``REPRO_SHARD_AUTHKEY`` (see
+    :func:`~repro.serve.protocol.resolve_authkey`).
+    """
+    import repro
+
+    env = dict(os.environ)
+    # Propagate the parent's full import path, the way multiprocessing's
+    # spawn does: task functions are pickled by reference, so whatever
+    # module defines them (the library, a script, a test module) must be
+    # importable in the child too.
+    package_root = str(os.path.dirname(os.path.dirname(repro.__file__)))
+    entries = [package_root] + [p for p in sys.path if p]
+    existing = env.get("PYTHONPATH", "")
+    if existing:
+        entries.append(existing)
+    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(entries))
+    if authkey is not None:
+        env["REPRO_SHARD_AUTHKEY"] = authkey.decode("latin-1")
+    process = subprocess.Popen(
+        [sys.executable, "-m", module, *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE if capture_stderr else subprocess.DEVNULL,
+        text=True,
+    )
+    started = time.monotonic()
+    line = process.stdout.readline()
+    if not line.startswith(ready_tag):
+        process.kill()
+        raise error(
+            f"{module} failed to start (output: {line!r}, "
+            f"exit={process.poll()}, waited "
+            f"{time.monotonic() - started:.1f}s)"
+        )
+    _, host, port, _pid = line.split()
+    return SpawnedProcess(process, f"{host}:{port}")
+
 
 def spawn_daemon(
     argv_extra: Optional[List[str]] = None,

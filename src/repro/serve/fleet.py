@@ -1,9 +1,8 @@
 """Fleet management: spawn, watch, and respawn local serving daemons.
 
-:class:`FleetManager` mirrors :class:`repro.shard.remote.WorkerFleet`
-one layer up the stack: where ``WorkerFleet`` owns shard *worker*
-subprocesses for one compute context, ``FleetManager`` owns serving
-*daemon* subprocesses for one routing front tier — started lazily,
+:class:`FleetManager` owns the serving *daemon* subprocesses of one
+routing front tier — started lazily through
+:func:`~repro.serve.daemon.spawn_daemon`'s ready-line handshake,
 health-visible, respawned on death (at a **new** port; the companion
 :class:`~repro.serve.router.Router` is handed the membership change and
 its consistent-hash ring keeps every other daemon's cache placement
@@ -18,8 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.serve.daemon import spawn_daemon
-from repro.shard.remote import SpawnedProcess, spawn_server
+from repro.serve.daemon import SpawnedProcess, spawn_daemon, spawn_server
 from repro.utils.errors import ServeError, ValidationError
 
 

@@ -1,10 +1,21 @@
-"""Serve wire schema on top of the shard frame protocol.
+"""The serve tier's wire: frames, message schema, and the TCP front.
 
-Frames are the ``MAGIC | length | keyed-BLAKE2b-MAC | pickle`` format of
-:mod:`repro.shard.remote` (:func:`~repro.shard.remote.send_frame` /
-:func:`~repro.shard.remote.recv_frame`), reused verbatim — same
-integrity check, same shared-key handshake.  This module only pins the
-*bodies*:
+Every message is one frame, in both directions::
+
+    MAGIC(4) | LENGTH(8, big-endian) | DIGEST(16) | BODY(pickle)
+
+``DIGEST`` is a keyed BLAKE2b MAC of the body.  It serves two purposes:
+a cheap shared-secret handshake (frames from strangers fail the check
+and drop the connection) and corruption detection — a damaged frame
+raises :class:`FrameCorrupted`, which clients treat as a retryable
+transport failure.  This is a lab protocol: it authenticates and
+integrity-checks, it does not encrypt; run it on networks you trust.
+:func:`send_frame` / :func:`recv_frame` implement it; the ``RSF1``
+magic and the ``REPRO_SHARD_AUTHKEY`` variable keep their names from
+the shard worker hosts that first spoke it, so deployments keep
+working.
+
+This module also pins the frame *bodies*:
 
 Request (client -> daemon), one dict per frame::
 
@@ -31,17 +42,16 @@ for both the serving daemon and the router.
 
 from __future__ import annotations
 
+import hashlib
+import os
+import pickle
 import socket
+import struct
 import threading
-from typing import Any, Dict, Optional, Set
+import time
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.serve.stats import PRIORITIES
-from repro.shard.remote import (
-    FrameError,
-    parse_address,
-    recv_frame,
-    send_frame,
-)
 from repro.utils.errors import (
     DeadlineExceeded,
     NoHealthyReplica,
@@ -53,6 +63,153 @@ from repro.utils.errors import (
     TenantQuotaExceeded,
     ValidationError,
 )
+
+MAGIC = b"RSF1"
+DIGEST_SIZE = 16
+DEFAULT_AUTHKEY = b"repro-shard"
+
+#: connect timeout for the TCP handshake.
+CONNECT_TIMEOUT = 10.0
+
+
+class FrameError(ShardError):
+    """A wire-protocol violation (bad magic, short read, oversize)."""
+
+
+class FrameCorrupted(FrameError):
+    """A frame failed its integrity check — retryable transport loss."""
+
+
+def _digest(body: bytes, authkey: bytes) -> bytes:
+    return hashlib.blake2b(
+        body, digest_size=DIGEST_SIZE, key=authkey
+    ).digest()
+
+
+def send_frame(
+    sock: socket.socket,
+    obj: Any,
+    authkey: bytes = DEFAULT_AUTHKEY,
+    corrupt: bool = False,
+) -> int:
+    """Pickle ``obj`` into one frame and send it; returns bytes sent.
+
+    ``corrupt=True`` flips one byte of the body *after* computing the
+    digest — the receiver's integrity check must catch it.  Only fault
+    injection uses it.
+    """
+    body = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    digest = _digest(body, authkey)
+    if corrupt and body:
+        body = bytearray(body)
+        body[len(body) // 2] ^= 0xFF
+        body = bytes(body)
+    frame = MAGIC + struct.pack(">Q", len(body)) + digest + body
+    sock.sendall(frame)
+    return len(frame)
+
+
+def _recv_exact(
+    sock: socket.socket, n: int, expires_at: Optional[float]
+) -> bytes:
+    chunks = []
+    got = 0
+    while got < n:
+        if expires_at is not None:
+            remaining = expires_at - time.monotonic()
+            if remaining <= 0:
+                raise socket.timeout("frame receive deadline expired")
+            sock.settimeout(remaining)
+        chunk = sock.recv(min(n - got, 1 << 20))
+        if not chunk:
+            raise ConnectionError("connection closed mid-frame")
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)
+
+
+def recv_frame(
+    sock: socket.socket,
+    authkey: bytes = DEFAULT_AUTHKEY,
+    expires_at: Optional[float] = None,
+    max_bytes: Optional[int] = None,
+) -> Any:
+    """Receive one frame; verify integrity; unpickle the body.
+
+    ``expires_at`` is an absolute monotonic deadline shared by every
+    read of the frame.  ``max_bytes`` caps the body length the header
+    may declare; it is checked before any body byte is read, so an
+    oversized header never makes the receiver buffer its body.  Raises
+    :class:`FrameError` on bad magic or an oversized header,
+    :class:`FrameCorrupted` on a digest mismatch, ``ConnectionError``
+    on EOF, ``socket.timeout`` past the deadline.
+    """
+    header = _recv_exact(sock, 4 + 8 + DIGEST_SIZE, expires_at)
+    if header[:4] != MAGIC:
+        raise FrameError(f"bad frame magic {header[:4]!r}")
+    (length,) = struct.unpack(">Q", header[4:12])
+    if max_bytes is not None and length > max_bytes:
+        raise FrameError(
+            f"frame declares {length} body bytes, over the "
+            f"{max_bytes}-byte limit"
+        )
+    digest = header[12:]
+    body = _recv_exact(sock, length, expires_at)
+    if _digest(body, authkey) != digest:
+        raise FrameCorrupted("frame integrity check failed")
+    return pickle.loads(body)
+
+
+def parse_address(
+    address: str, allow_port_zero: bool = False, what: str = "server"
+) -> Tuple[str, int]:
+    """``"host:port"`` -> ``(host, port)`` with validation.
+
+    Rejects missing hosts, non-integer or out-of-range ports, with a
+    clear :class:`~repro.utils.errors.ValidationError` naming the bad
+    string — the shared front door for daemon and router binds, router
+    daemon lists and client addresses, so a typo fails at construction
+    instead of as a deep ``socket`` stack trace.  ``allow_port_zero``
+    admits the kernel-assigned-port convention used by bind strings.
+    """
+    if not isinstance(address, str):
+        raise ValidationError(
+            f"{what} address must be a host:port string, "
+            f"got {type(address).__name__}"
+        )
+    host, sep, port = address.rpartition(":")
+    if not sep or not host:
+        raise ValidationError(
+            f"{what} address must be host:port, got {address!r}"
+        )
+    try:
+        port_number = int(port)
+    except ValueError:
+        raise ValidationError(
+            f"{what} address has a non-integer port: {address!r}"
+        ) from None
+    floor = 0 if allow_port_zero else 1
+    if not floor <= port_number <= 65535:
+        raise ValidationError(
+            f"{what} address port must be in [{floor}, 65535], "
+            f"got {address!r}"
+        )
+    return host, port_number
+
+
+def resolve_authkey(flag: Optional[str]) -> bytes:
+    """The frame key a server entry point runs with.
+
+    The ``--authkey`` flag wins, then the ``REPRO_SHARD_AUTHKEY``
+    environment variable (how :func:`~repro.serve.daemon.spawn_server`
+    hands a key to its child without putting it on the command line),
+    then the built-in development key.
+    """
+    if flag is not None:
+        return flag.encode("latin-1")
+    env = os.environ.get("REPRO_SHARD_AUTHKEY")
+    return env.encode("latin-1") if env else DEFAULT_AUTHKEY
+
 
 #: daemon-side operations; anything else gets a structured error reply.
 OPS = ("submit", "health", "stats", "ping", "drain")
@@ -158,8 +315,8 @@ class FrameServer:
     One accept thread hands each connection to its own thread, which
     loops ``recv_frame`` -> :meth:`_handle` -> ``send_frame``.  Requests
     are read under :data:`MAX_REQUEST_BYTES`; a frame that breaks the
-    protocol (:class:`~repro.shard.remote.FrameError`) drops its
-    connection, as a vanished client does.  A subclass implements :meth:`_handle` plus its lifecycle, ``start()``
+    protocol (:class:`FrameError`) drops its connection, as a vanished
+    client does.  A subclass implements :meth:`_handle` plus its lifecycle, ``start()``
     and ``stop(drain=...)``, built on :meth:`_open_front` and
     :meth:`_close_front`; ``with`` starts it and stops it undrained.
     """

@@ -55,19 +55,20 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.serve.client import REPLY_GRACE
 from repro.serve.config import RouterConfig
-from repro.serve.protocol import FrameServer, reply_to_error
-from repro.serve.results import ResultCache
-from repro.serve.ring import HashRing, route_key
-from repro.serve.stats import ServeStats, percentile
-from repro.shard.remote import (
+from repro.serve.protocol import (
     CONNECT_TIMEOUT,
     FrameCorrupted,
     FrameError,
+    FrameServer,
     parse_address,
     recv_frame,
+    reply_to_error,
     resolve_authkey,
     send_frame,
 )
+from repro.serve.results import ResultCache
+from repro.serve.ring import HashRing, route_key
+from repro.serve.stats import ServeStats, percentile
 from repro.utils.counters import merge_snapshots
 from repro.utils.errors import (
     DeadlineExceeded,
@@ -762,11 +763,6 @@ class Router:
                 "error": health.error,
             }
             if health.snapshot is not None:
-                entry["degradation_rung"] = (
-                    health.snapshot.get("shard", {}).get(
-                        "degradation_rung", 0
-                    )
-                )
                 snapshots.append(health.snapshot)
             daemons[address] = entry
         return {

@@ -2,28 +2,23 @@
 
 Partitions the pipeline's two bulk workloads — per-view Laplacian/KNN
 builds and per-weight-batch eigensolves — over a persistent process pool
-with shared-memory zero-copy payload transfer, behind the same
-string-keyed registry pattern as :mod:`repro.solvers` and
-:mod:`repro.neighbors`:
+with shared-memory zero-copy payload transfer.  The pool is the only way
+work leaves the process; ``shard_workers <= 1`` and dispatches too small
+to amortize process overhead run in-process as the serial reference.
 
 * :class:`ShardPlan` — deterministic partitioning (contiguous or
   cost-balanced) whose output order never depends on the worker count;
 * :class:`ShardContext` — per-run state: the lazy persistent
   ``ProcessPoolExecutor``, shared-memory segment lifecycle, serial
   fallback policy, and :class:`ShardStats` counters;
-* backends ``"process"`` / ``"serial"`` (:mod:`repro.shard.backends`)
-  and the distributed ``"remote"`` backend (:mod:`repro.shard.remote`,
-  TCP worker hosts started via ``python -m repro.shard.worker``),
-  registered in the :mod:`repro.shard.base` registry;
 * the resilience layer (:mod:`repro.shard.resilience`, DESIGN.md §11):
   :class:`RetryPolicy` + :class:`FailureDirector` giving every dispatch
-  retries with seeded-jitter backoff, re-dispatch of failed shards onto
-  healthy workers, quarantine with cooldown re-admission, and the
-  sticky degradation ladder ``remote -> process -> serial``;
+  retries with seeded-jitter backoff, each under a fresh deadline, and
+  re-dispatch of failed shards onto a freshly forked pool;
 * deterministic fault injection (:mod:`repro.shard.faults`):
   :class:`FaultPlan` — a seeded, replayable schedule of crash / hang /
-  slow / corrupt / drop faults driven through any backend, the engine
-  of the chaos suite (``tests/test_chaos.py``);
+  slow / corrupt / drop faults, the engine of the chaos suite
+  (``tests/test_chaos.py``);
 * :func:`shard_view_laplacians` / :func:`shard_objective_batch` — the
   entry points ``build_view_laplacians`` and
   ``SpectralObjective.evaluate_batch`` dispatch through when a context
@@ -42,16 +37,7 @@ from repro.shard.api import (
     shard_objective_batch,
     shard_view_laplacians,
 )
-from repro.shard.base import (
-    ShardBackend,
-    ShardStats,
-    available_backends,
-    get_backend,
-    register_backend,
-    run_shard_items,
-    unregister_backend,
-)
-from repro.shard.backends import ProcessShardBackend, SerialShardBackend
+from repro.shard.base import ShardStats, run_shard_items
 from repro.shard.context import (
     MIN_SHARD_BYTES,
     MIN_SHARD_ITEMS,
@@ -66,15 +52,9 @@ from repro.shard.faults import (
     plan_from_dict,
 )
 from repro.shard.plan import ShardPlan
-from repro.shard.remote import RemoteShardBackend, WorkerFleet
-from repro.shard.resilience import (
-    LADDER,
-    FailureDirector,
-    RetryPolicy,
-    ShardFailure,
-)
+from repro.shard.resilience import FailureDirector, RetryPolicy, ShardFailure
 from repro.shard.shm import ArraySpec, attached, create_segment, inline_spec
-from repro.utils.errors import ShardDegradation, ShardError
+from repro.utils.errors import ShardError
 
 __all__ = [
     "ArraySpec",
@@ -82,33 +62,22 @@ __all__ = [
     "FailureDirector",
     "FaultInjected",
     "FaultPlan",
-    "LADDER",
     "MIN_SHARD_BYTES",
     "MIN_SHARD_ITEMS",
-    "ProcessShardBackend",
-    "RemoteShardBackend",
     "RetryPolicy",
-    "SerialShardBackend",
-    "ShardBackend",
     "ShardContext",
-    "ShardDegradation",
     "ShardError",
     "ShardFailure",
     "ShardPlan",
     "ShardStats",
-    "WorkerFleet",
     "plan_from_dict",
     "attached",
-    "available_backends",
     "create_segment",
     "default_shard_workers",
-    "get_backend",
     "inline_spec",
-    "register_backend",
     "run_shard_items",
     "shard_attribute_laplacians",
     "shard_objective_batch",
     "shard_scope",
     "shard_view_laplacians",
-    "unregister_backend",
 ]

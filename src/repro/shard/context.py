@@ -2,8 +2,7 @@
 
 A :class:`ShardContext` is what call sites thread through the pipeline
 next to :class:`repro.solvers.SolverContext` and
-:class:`repro.neighbors.NeighborStats`.  It owns the three things a bare
-backend lookup cannot:
+:class:`repro.neighbors.NeighborStats`.  It owns three things:
 
 * the **persistent process pool** — forked lazily on the first dispatch
   and reused by every later one (SGLA view builds, SGLA+ sample batches,
@@ -38,9 +37,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.shard.base import ShardStats, TaskFunc, get_backend
+from repro.shard.base import ShardStats, TaskFunc, run_shard_items
 from repro.shard.faults import FaultPlan
-from repro.shard.plan import ShardPlan
 from repro.shard.resilience import FailureDirector, RetryPolicy
 from repro.shard.shm import ArraySpec, create_segment, inline_spec
 from repro.utils.errors import ValidationError
@@ -66,11 +64,8 @@ class ShardContext:
     workers:
         Process budget; ``None`` uses the host core count.  A context
         with ``workers <= 1`` executes every dispatch through the serial
-        path (same plan, same task code, in-process) — the graceful
-        fallback the determinism contract is anchored to.
-    backend:
-        Registry key of the dispatch strategy (``"process"`` default,
-        ``"serial"`` forces in-process execution at any worker count).
+        path (same task code, in-process) — the reference the
+        determinism contract is anchored to.
     min_items, min_bytes:
         Serial-fallback thresholds (see :data:`MIN_SHARD_ITEMS` /
         :data:`MIN_SHARD_BYTES`); tests pin them to 0 to force process
@@ -82,38 +77,23 @@ class ShardContext:
         resilience machine as retries and, ultimately, a clean
         :class:`~repro.utils.errors.ShardError`.
     retries:
-        Retry attempts *beyond the first* per ladder rung (default 2,
-        i.e. three attempts); ``retry_policy`` overrides the whole
-        schedule when supplied.
+        Retry attempts *beyond the first* per dispatch (default 2, i.e.
+        three attempts); ``retry_policy`` overrides the whole schedule
+        when supplied.
     fault_plan:
         Optional :class:`~repro.shard.faults.FaultPlan` arming
         deterministic fault injection on every dispatch (chaos tests).
-    remote_workers:
-        ``remote`` backend fleet: an int spawns that many local worker
-        subprocesses (default: ``workers``); a list of ``host:port``
-        strings connects to externally managed workers instead.
-    remote_max_tasks:
-        Self-recycle threshold passed to spawned workers (0 = never).
-    quarantine_after / quarantine_cooldown:
-        Consecutive failures before a worker is quarantined, and the
-        cooldown (seconds) before it is re-admitted.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
-        backend: str = "process",
         min_items: int = MIN_SHARD_ITEMS,
         min_bytes: int = MIN_SHARD_BYTES,
         timeout: Optional[float] = None,
         retries: int = 2,
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
-        remote_workers: Optional[Any] = None,
-        remote_max_tasks: int = 0,
-        remote_respawn: bool = True,
-        quarantine_after: int = 2,
-        quarantine_cooldown: float = 5.0,
     ) -> None:
         if workers is not None and workers < 0:
             raise ValidationError(f"workers must be >= 0, got {workers}")
@@ -127,8 +107,6 @@ class ShardContext:
         self.workers = (
             default_shard_workers() if workers is None else int(workers)
         )
-        get_backend(backend)  # fail fast on unknown keys
-        self.backend = backend
         self.min_items = int(min_items)
         self.min_bytes = int(min_bytes)
         self.timeout = timeout
@@ -136,18 +114,9 @@ class ShardContext:
             max_attempts=retries + 1, deadline=timeout
         )
         self.fault_plan = fault_plan
-        self.remote_workers = remote_workers
-        self.remote_max_tasks = int(remote_max_tasks)
-        self.remote_respawn = bool(remote_respawn)
-        self.director = FailureDirector(
-            self.retry_policy,
-            fault_plan=fault_plan,
-            quarantine_after=quarantine_after,
-            quarantine_cooldown=quarantine_cooldown,
-        )
+        self.director = FailureDirector(self.retry_policy, fault_plan)
         self.stats = ShardStats()
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._fleet: Optional[Any] = None  # lazy WorkerFleet
         self._ephemeral: List[Any] = []  # open SharedMemory handles
         self._persistent: Dict[int, Tuple[Any, ArraySpec, Any]] = {}
         self._closed = False
@@ -159,11 +128,7 @@ class ShardContext:
     @property
     def active(self) -> bool:
         """Whether dispatches may leave the parent process at all."""
-        return (
-            not self._closed
-            and self.workers > 1
-            and self.backend != "serial"
-        )
+        return not self._closed and self.workers > 1
 
     def should_dispatch(
         self, n_items: int, payload_bytes: int = 0
@@ -225,46 +190,6 @@ class ShardContext:
                     pass
 
     # ------------------------------------------------------------------ #
-    # Remote fleet
-    # ------------------------------------------------------------------ #
-
-    def remote_fleet(self):
-        """The lazily created :class:`~repro.shard.remote.WorkerFleet`."""
-        if self._closed:
-            raise ValidationError("shard context is closed")
-        if self._fleet is None:
-            from repro.shard.remote import WorkerFleet
-
-            spec = self.remote_workers
-            if isinstance(spec, (list, tuple)):
-                self._fleet = WorkerFleet(
-                    addresses=list(spec),
-                    max_tasks=self.remote_max_tasks,
-                    respawn=self.remote_respawn,
-                )
-            else:
-                count = self.workers if spec is None else int(spec)
-                self._fleet = WorkerFleet(
-                    spawn=max(1, count),
-                    max_tasks=self.remote_max_tasks,
-                    respawn=self.remote_respawn,
-                )
-        return self._fleet
-
-    def wire_payloads(self) -> bool:
-        """Whether payload descriptors must travel inline (on the wire).
-
-        True while the effective backend (after sticky degradation) is
-        one that cannot reach this host's shared memory.  Once the
-        ladder degrades to ``process``/``serial``, shared memory is
-        used again.
-        """
-        backend_name = self.director.effective_backend(self.backend)
-        return bool(
-            getattr(get_backend(backend_name), "wire_payloads", False)
-        )
-
-    # ------------------------------------------------------------------ #
     # Shared-memory payloads
     # ------------------------------------------------------------------ #
 
@@ -273,11 +198,9 @@ class ShardContext:
 
         ``inline=True`` skips the segment and ships the array in the
         descriptor itself — the serial path's transport (same bytes, no
-        copy, no kernel object).  Inline is also forced when the
-        effective backend moves payloads over the wire (``remote``):
-        a shared-memory name means nothing on another host.
+        copy, no kernel object).
         """
-        if inline or not self.active or self.wire_payloads():
+        if inline or not self.active:
             return inline_spec(array)
         segment, spec = create_segment(array)
         self._ephemeral.append(segment)
@@ -296,7 +219,7 @@ class ShardContext:
         its entry is alive; do **not** use this for arrays mutated in
         place (the segment holds a copy from share time).
         """
-        if not self.active or self.wire_payloads():
+        if not self.active:
             return inline_spec(array)
         key = id(array)
         entry = self._persistent.get(key)
@@ -335,9 +258,9 @@ class ShardContext:
         prepared payloads with :meth:`share` already settled it through
         :meth:`should_dispatch`); ``None`` re-derives it from the item
         count alone.  Dispatched work goes through the
-        :class:`~repro.shard.resilience.FailureDirector` (retries,
-        re-dispatch, quarantine, ladder degradation); the serial
-        fallback path stays direct.  Ephemeral segments are released on
+        :class:`~repro.shard.resilience.FailureDirector` (retries and
+        re-dispatch onto the process pool); the serial path runs the
+        items in-process, in order.  Ephemeral segments are released on
         the way out, success or failure.
         """
         items = list(items)
@@ -351,10 +274,7 @@ class ShardContext:
         try:
             if not dispatch:
                 self.stats.serial_dispatches += 1
-                plan = ShardPlan.build(len(items), 1)
-                return get_backend("serial").run(
-                    func, items, common, plan, self
-                )
+                return run_shard_items(func, items, common)
             self.stats.dispatches += 1
             return self.director.execute(
                 self, func, items, common, costs
@@ -399,12 +319,6 @@ class ShardContext:
                             pass
                 else:
                     executor.shutdown(wait=True, cancel_futures=True)
-            except Exception:  # pragma: no cover - shutdown races
-                pass
-        fleet, self._fleet = self._fleet, None
-        if fleet is not None:
-            try:
-                fleet.close()
             except Exception:  # pragma: no cover - shutdown races
                 pass
         self._release_ephemeral()

@@ -9,28 +9,32 @@ fault schedule, and the chaos gate (``tests/test_chaos.py``,
 ``benchmarks/bench_chaos.py``) can assert bit-identical ``w*`` / labels
 against the fault-free run.
 
-Five failure modes, matching what real fleets do:
+Five failure modes, each surfacing in the pool worker as the failed
+shard its real counterpart would produce:
 
 ==========  =========================================================
-``crash``   the worker dies mid-task (remote: ``os._exit``; process
-            pool: the task raises :class:`FaultInjected`, surfacing as
-            a failed shard)
+``crash``   the task raises :class:`FaultInjected` before computing,
+            surfacing as a failed shard
 ``hang``    the task stalls for ``hang_seconds`` — the per-attempt
             deadline must fire, not the caller's patience
 ``slow``    the task sleeps ``slow_seconds`` and then answers
             *correctly* — exercises deadline headroom, never a failure
-``corrupt`` the result is damaged in flight (remote: the reply frame's
-            checksum is broken on purpose; process pool: a detected-
-            corruption error is raised after computing)
-``drop``    the reply never arrives (remote: the worker swallows the
-            request; process pool: surfaced as an immediate loss)
+``corrupt`` the task computes, then raises :class:`FaultInjected` (a
+            detected corruption of its result)
+``drop``    the task raises :class:`FaultInjected` before computing,
+            like a reply that never arrived
 ==========  =========================================================
+
+Injected faults never kill a pool process.  A pool process that really
+dies surfaces as ``BrokenProcessPool`` and is retried the same way, on a
+freshly forked pool; ``tests/test_resilience.py`` kills real processes
+to cover that path.
 
 Faults only fire while ``attempt < max_faulted_attempts`` (default 1), so
 a retried task always has a fault-free path to success — which is what
 lets the chaos suite demand *completion* with exact results, not merely
-survival.  Raising ``max_faulted_attempts`` turns the same plan into a
-quarantine / degradation stressor.
+survival.  Raising ``max_faulted_attempts`` past the retry budget turns
+the same plan into an exhausted-retries stressor.
 """
 
 from __future__ import annotations
@@ -51,9 +55,8 @@ class FaultInjected(Exception):
     """Raised by an injected fault (never by real library code).
 
     The resilience layer treats it as an *infrastructure* failure —
-    retryable, attributable to the worker that ran the task — unlike
-    ordinary task exceptions, which are deterministic caller bugs and
-    fail fast.  ``kind`` names the fault; ``task_key`` identifies the
+    retryable — unlike ordinary task exceptions, which are deterministic
+    caller bugs and fail fast.  ``kind`` names the fault; ``task_key`` identifies the
     seeded decision that fired, so failures are traceable to the plan.
     """
 
@@ -74,7 +77,7 @@ class FaultPlan:
     probabilities; their sum must be <= 1 (the remainder is the healthy
     path).  ``decide`` draws one uniform variate per ``(task_key,
     attempt)`` from a keyed BLAKE2b hash, so the schedule is a pure
-    function of the plan — identical across processes, hosts, and runs.
+    function of the plan — identical across processes and runs.
     """
 
     seed: int = 0
@@ -151,12 +154,10 @@ class FaultedTask:
 
     The resilience layer wraps each dispatched item as ``(task_key,
     attempt, item)`` and the task function as ``FaultedTask(func,
-    plan)``; workers (pool processes, remote hosts, or the in-process
-    serial rung) then make the *same* seeded decision for the same task.
-    ``slow`` and ``hang`` sleep here; ``crash`` / ``corrupt`` / ``drop``
-    raise :class:`FaultInjected` for the surrounding backend to turn
-    into its transport's native failure (process death, damaged frame,
-    swallowed reply).
+    plan)``; every pool process then makes the *same* seeded decision
+    for the same task.  ``slow`` and ``hang`` sleep here; ``crash`` /
+    ``corrupt`` / ``drop`` raise :class:`FaultInjected`, which the
+    dispatch returns as a retryable failed shard.
     """
 
     func: Any

@@ -1,6 +1,6 @@
 """Picklable worker-side task functions for sharded dispatches.
 
-Both the ``process`` and ``serial`` shard backends execute exactly these
+The process pool and the in-process serial path execute exactly these
 functions on exactly these payloads (:func:`repro.shard.base.
 run_shard_items`), which is what makes sharded output bit-identical to
 the in-process fallback: the only thing that varies with the worker

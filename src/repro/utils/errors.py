@@ -29,16 +29,20 @@ class ShardError(ReproError, RuntimeError):
     """A sharded dispatch failed (worker exception, crashed process, or
     timeout).  Raised by :mod:`repro.shard` with the shard index and the
     original failure message, so a poisoned shard surfaces as one clean
-    error instead of a hung pool.
+    error instead of a hung pool.  The serve tier's wire errors
+    (:class:`~repro.serve.protocol.FrameError`) subclass it, and the
+    router raises it for a daemon lost mid-request.
 
     Carries structured context alongside the message so callers (and the
     resilience layer's logs) can reason about the failure without parsing
-    strings: the dispatching ``backend`` name, the ``shard_index`` inside
-    its :class:`~repro.shard.plan.ShardPlan`, the ``worker`` identifier
-    (remote address or ``None`` for anonymous pool processes), how many
-    ``attempts`` had been made when the error was raised, and the
-    ``elapsed`` seconds since the first attempt began.  All fields are
-    optional — bare ``ShardError("message")`` raises keep working.
+    strings: the dispatching ``backend`` name (``"process"`` for the
+    process pool), the ``shard_index`` inside its
+    :class:`~repro.shard.plan.ShardPlan`, the ``worker`` identifier (the
+    daemon address in router failures; ``None`` for the anonymous pool
+    processes), how many ``attempts`` had been made when the error was
+    raised, and the ``elapsed`` seconds since the first attempt began.
+    All fields are optional — bare ``ShardError("message")`` raises keep
+    working.
     """
 
     def __init__(
@@ -148,11 +152,3 @@ class NoHealthyReplica(ServeError):
     ``fields`` so the failure is attributable, never silent."""
 
     kind = "no-replica"
-
-
-class ShardDegradation(UserWarning):
-    """A shard dispatch exhausted a backend and fell down the resilience
-    ladder (``remote -> process -> serial``).  Results are still correct
-    — every rung runs identical task code on identical payloads — but the
-    run lost its distributed speedup; the warning is loud so operators
-    notice dead fleets instead of silently serving from one process."""

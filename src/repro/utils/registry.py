@@ -1,9 +1,10 @@
 """String-keyed backend registry shared by every pluggable subsystem.
 
-``repro.solvers``, ``repro.neighbors`` and ``repro.shard`` each keep
-one :class:`Registry` of their backends and export its bound methods as ``register_backend`` / ``unregister_backend``
-/ ``get_backend`` / ``available_backends``.  Call sites name a backend
-by its ``name`` key; adding one is a single ``register_backend`` call.
+``repro.solvers`` and ``repro.neighbors`` each keep one
+:class:`Registry` of their backends and export its bound methods as
+``register_backend`` / ``unregister_backend`` / ``get_backend`` /
+``available_backends``.  Call sites name a backend by its ``name`` key;
+adding one is a single ``register_backend`` call.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """The backend-registry contract every pluggable subsystem honors.
 
-``repro.solvers``, ``repro.neighbors`` and ``repro.shard`` each export
-the bound methods of one shared :class:`~repro.utils.registry.Registry`.
-Each package's test module subclasses :class:`RegistryContract` with
-its ``package``, so this one test body runs against all three, next to
-the package's own built-ins assertion.
+``repro.solvers`` and ``repro.neighbors`` each export the bound methods
+of one shared :class:`~repro.utils.registry.Registry`.  Each package's
+test module subclasses :class:`RegistryContract` with its ``package``,
+so this one test body runs against both, next to the package's own
+built-ins assertion.
 """
 
 from __future__ import annotations

@@ -79,6 +79,11 @@ class TestClusterCommand:
         with pytest.raises(SystemExit):
             main(["cluster", "rm", "--method", "sgla", "--tol-ladder"])
 
+    def test_shard_backend_flag_removed(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", "rm", "--shard-backend", "process"])
+        assert excinfo.value.code == 2
+
 
 class TestEmbedCommand:
     def test_embed_profile(self, tmp_path, capsys):

@@ -1,17 +1,20 @@
-"""Tests for the shard resilience layer: retry, re-dispatch, quarantine,
-degradation (DESIGN.md §11).
+"""Tests for the shard resilience layer: retry and re-dispatch
+(DESIGN.md §11).
 
-Backend-level behavior is exercised through the real ``process`` and
-``serial`` backends plus fault injection; the director's bookkeeping
-(quarantine cooldowns, sticky ladder position, deterministic backoff) is
-tested directly with a fake clock.
+Dispatch behavior is exercised through the real process pool, with
+injected faults and with pool processes killed by SIGKILL — the only
+tests in the suite where a real pool process dies.  The deterministic
+backoff schedule is tested directly.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
-import warnings
+import signal
+import time
 
+import numpy as np
 import pytest
 
 from repro.shard import (
@@ -19,7 +22,6 @@ from repro.shard import (
     FaultPlan,
     RetryPolicy,
     ShardContext,
-    ShardDegradation,
     ShardError,
 )
 from repro.utils.errors import ValidationError
@@ -31,6 +33,36 @@ def _square(item, common):
 
 def _boom(item, common):
     raise ValueError("task bug, not infrastructure")
+
+
+def _spectrum(item, common):
+    """A float result whose bits depend on BLAS/LAPACK doing real work."""
+    rng = np.random.default_rng(item)
+    matrix = rng.standard_normal((24, 24))
+    return np.linalg.eigvalsh(matrix + matrix.T)
+
+
+def _spectrum_dying_once(item, common):
+    """:func:`_spectrum`, but the victim item SIGKILLs its own worker
+    process the first time it runs (the marker file remembers)."""
+    marker = common["marker"]
+    if item == common["victim"] and not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _spectrum(item, common)
+
+
+def _kill_pool(shard: ShardContext) -> int:
+    """SIGKILL every pool process; return once the executor is broken."""
+    executor = shard.executor()
+    processes = list(executor._processes.values())
+    for process in processes:
+        os.kill(process.pid, signal.SIGKILL)
+    limit = time.monotonic() + 30.0
+    while not executor._broken and time.monotonic() < limit:
+        time.sleep(0.01)
+    assert executor._broken, "executor never noticed its dead workers"
+    return len(processes)
 
 
 def _forced(**overrides) -> ShardContext:
@@ -73,166 +105,89 @@ class TestRetryPolicy:
         assert pickle.loads(pickle.dumps(policy)) == policy
 
 
-class TestQuarantine:
-    def _director(self, **overrides):
-        clock = {"now": 0.0}
-        params = dict(
-            policy=RetryPolicy(),
-            quarantine_after=2,
-            quarantine_cooldown=10.0,
-            clock=lambda: clock["now"],
-        )
-        params.update(overrides)
-        return FailureDirector(**params), clock
-
-    def test_quarantine_after_consecutive_failures(self):
-        director, _ = self._director()
-        director.record_failure("w1")
-        assert not director.is_quarantined("w1")
-        director.record_failure("w1")
-        assert director.is_quarantined("w1")
-        assert director.healthy_workers(["w1", "w2"]) == ["w2"]
-
-    def test_success_resets_the_streak(self):
-        director, _ = self._director()
-        director.record_failure("w1")
-        director.record_success("w1")
-        director.record_failure("w1")
-        assert not director.is_quarantined("w1")
-
-    def test_cooldown_readmits_with_clean_slate(self):
-        director, clock = self._director()
-        director.record_failure("w1")
-        director.record_failure("w1")
-        assert director.is_quarantined("w1")
-        clock["now"] = 10.5  # past the cooldown
-        assert not director.is_quarantined("w1")
-        # Re-admitted with a fresh streak: one failure does not re-ban.
-        director.record_failure("w1")
-        assert not director.is_quarantined("w1")
-
-    def test_anonymous_workers_are_ignored(self):
-        director, _ = self._director()
-        director.record_failure(None)
-        director.record_failure(None)
-        assert director.healthy_workers(["w1"]) == ["w1"]
-
-    def test_quarantine_counts_in_stats(self):
-        from repro.shard import ShardStats
-
-        director, _ = self._director()
-        stats = ShardStats()
-        director.record_failure("w1", stats=stats)
-        director.record_failure("w1", stats=stats)
-        director.record_failure("w1", stats=stats)  # already quarantined
-        assert stats.workers_quarantined == 1
-
-    def test_validation(self):
-        with pytest.raises(ValidationError, match="quarantine_after"):
-            FailureDirector(RetryPolicy(), quarantine_after=0)
-
-
-class TestLadder:
-    def test_only_remote_degrades(self):
-        director = FailureDirector(RetryPolicy())
-        assert director.ladder_for("remote") == (
-            "remote", "process", "serial"
-        )
-        assert director.ladder_for("process") == ("process",)
-        assert director.ladder_for("serial") == ("serial",)
-        assert director.ladder_for("plugin-backend") == ("plugin-backend",)
-
-    def test_effective_backend_tracks_sticky_rung(self):
-        director = FailureDirector(RetryPolicy())
-        assert director.effective_backend("remote") == "remote"
-        director._rung = 1
-        assert director.effective_backend("remote") == "process"
-        # Non-ladder backends are unaffected by the rung.
-        assert director.effective_backend("process") == "process"
-
-
 class TestRetryThroughBackends:
     def test_injected_crash_is_retried_to_success_process(self):
         plan = FaultPlan(seed=0, crash_rate=0.5)
-        with _forced(backend="process", fault_plan=plan,
-                     timeout=30.0) as ctx:
+        with _forced(fault_plan=plan, timeout=30.0) as ctx:
             result = ctx.run(_square, list(range(8)))
         assert result == [i * i for i in range(8)]
         assert ctx.stats.failures == 0
         assert ctx.stats.retries >= 1
         assert ctx.stats.redispatches >= 1
 
-    def test_injected_faults_are_retried_serial_rung(self):
-        plan = FaultPlan(seed=1, crash_rate=0.4, corrupt_rate=0.3)
-        with _forced(backend="serial", workers=1, fault_plan=plan) as ctx:
-            result = ctx.run(_square, list(range(10)), dispatch=True)
-        assert result == [i * i for i in range(10)]
-        assert ctx.stats.failures == 0
-
     def test_results_identical_with_and_without_faults(self):
         items = list(range(12))
-        with _forced(backend="process", timeout=30.0) as clean_ctx:
+        with _forced(timeout=30.0) as clean_ctx:
             clean = clean_ctx.run(_square, items)
         plan = FaultPlan(seed=5, crash_rate=0.3, drop_rate=0.2)
-        with _forced(backend="process", fault_plan=plan,
-                     timeout=30.0) as chaos_ctx:
+        with _forced(fault_plan=plan, timeout=30.0) as chaos_ctx:
             chaos = chaos_ctx.run(_square, items)
         assert clean == chaos
 
     def test_task_bugs_fail_fast_without_retry(self):
-        with _forced(backend="process", timeout=30.0) as ctx:
+        with _forced(timeout=30.0) as ctx:
             with pytest.raises(ShardError, match="task bug"):
                 ctx.run(_boom, list(range(4)))
         assert ctx.stats.retries == 0  # deterministic bugs never retry
 
-    def test_exhausted_rung_raises_structured_error(self):
-        # Faults on every attempt: the process rung (no lower rung)
-        # must exhaust its retries and raise with full context.
+    def test_exhausted_retries_raise_structured_error(self):
+        # Faults on every attempt: the dispatch must exhaust its
+        # retries and raise with full context.
         plan = FaultPlan(seed=0, crash_rate=1.0, max_faulted_attempts=99)
-        with _forced(backend="process", fault_plan=plan, retries=1,
-                     timeout=30.0) as ctx:
+        with _forced(fault_plan=plan, retries=1, timeout=30.0) as ctx:
             with pytest.raises(ShardError) as excinfo:
                 ctx.run(_square, list(range(4)))
         error = excinfo.value
         assert error.backend == "process"
         assert error.attempts == 2
         assert error.elapsed is not None
-        assert "every ladder rung" in str(error)
+        assert "failed after 2 attempt(s)" in str(error)
         assert ctx.stats.failures == 1
-        # The context survives: the next dispatch works fault-free.
-        with _forced(backend="process", timeout=30.0) as ctx2:
+        # A fresh context dispatches fault-free.
+        with _forced(timeout=30.0) as ctx2:
             assert ctx2.run(_square, [2, 3]) == [4, 9]
-
-    def test_degradation_warning_is_loud_and_sticky(self):
-        # All remote attempts fail (no fleet can start: spawn count 0
-        # workers is impossible, so use an unreachable external address).
-        with _forced(
-            backend="remote",
-            remote_workers=["127.0.0.1:1"],  # nothing listens there
-            retries=0,
-            timeout=5.0,
-            quarantine_cooldown=600.0,
-        ) as ctx:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                result = ctx.run(_square, [1, 2, 3, 4])
-            assert result == [1, 4, 9, 16]
-            degradations = [
-                w for w in caught if w.category is ShardDegradation
-            ]
-            assert len(degradations) == 1
-            assert "degrading to 'process'" in str(degradations[0].message)
-            assert ctx.stats.degradations == 1
-            # Sticky: the next dispatch starts at the degraded rung, so
-            # no further warning is emitted.
-            with warnings.catch_warnings(record=True) as again:
-                warnings.simplefilter("always")
-                assert ctx.run(_square, [5, 6]) == [25, 36]
-            assert not [
-                w for w in again if w.category is ShardDegradation
-            ]
-            assert ctx.director.effective_backend("remote") == "process"
 
     def test_context_validation(self):
         with pytest.raises(ValidationError, match="retries"):
             ShardContext(workers=2, retries=-1)
+
+    def test_removed_knobs_are_refused(self):
+        with pytest.raises(TypeError):
+            FailureDirector(RetryPolicy(), quarantine_after=2)
+        with pytest.raises(TypeError):
+            ShardContext(backend="process")
+        with pytest.raises(TypeError):
+            ShardContext(remote_workers=2)
+
+
+class TestKilledPool:
+    def test_pool_killed_between_dispatches_recovers(self):
+        # A pool process killed while idle (the OOM killer, an
+        # operator's kill) breaks the executor: the next submit itself
+        # raises BrokenProcessPool, which must become a retry on a
+        # freshly forked pool, not an escaped exception.
+        items = list(range(6))
+        with _forced(timeout=30.0) as ctx:
+            assert ctx.run(_square, items) == [i * i for i in items]
+            assert _kill_pool(ctx) == 2
+            assert ctx.run(_square, items) == [i * i for i in items]
+            assert ctx.stats.retries >= 1
+            assert ctx.stats.failures == 0
+            retries = ctx.stats.retries
+            assert ctx.run(_square, [7, 8]) == [49, 64]
+            assert ctx.stats.retries == retries  # the new pool is healthy
+
+    def test_task_killing_its_worker_is_retried_bit_identical(
+        self, tmp_path
+    ):
+        items = list(range(8))
+        common = {"marker": str(tmp_path / "killed"), "victim": 5}
+        with ShardContext(workers=1) as serial:
+            reference = serial.run(_spectrum, items)
+        with _forced(timeout=30.0) as ctx:
+            result = ctx.run(_spectrum_dying_once, items, common=common)
+            assert ctx.stats.retries >= 1
+            assert ctx.stats.failures == 0
+        assert os.path.exists(common["marker"])  # the victim did die
+        for ours, theirs in zip(result, reference):
+            assert np.array_equal(ours, theirs)

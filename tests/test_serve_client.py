@@ -19,7 +19,7 @@ import pytest
 
 from repro.serve import ServeClient, ServeConfig, ServeDaemon
 from repro.serve.client import IDEMPOTENT_KINDS, RETRYABLE_ERRORS
-from repro.shard.remote import FrameCorrupted
+from repro.serve.protocol import FrameCorrupted
 from repro.utils.errors import ServeError
 
 PROFILE = "rm_small"
@@ -46,7 +46,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def _read_frame_bytes(sock: socket.socket) -> bytes:
     # MAGIC(4) | LENGTH(8, big-endian) | DIGEST(16) | BODY — see
-    # repro.shard.remote; the proxy relays frames without decoding them.
+    # repro.serve.protocol; the proxy relays frames without decoding them.
     header = _recv_exact(sock, 12)
     length = int.from_bytes(header[4:12], "big")
     return header + _recv_exact(sock, 16 + length)

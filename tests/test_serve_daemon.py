@@ -44,9 +44,10 @@ from repro.serve.jobs import (
     payload_nbytes,
     run_objective_group,
 )
+from repro.serve.protocol import send_frame
 from repro.serve.ring import HashRing, route_key
 from repro.serve.router import Router, RouterConfig
-from repro.shard.remote import send_frame
+from repro.shard import ShardContext
 from repro.solvers import SolverContext
 from repro.utils.errors import ValidationError
 
@@ -344,7 +345,7 @@ class TestAbandonment:
         # keeps answering.
         import struct
 
-        from repro.shard.remote import DIGEST_SIZE, MAGIC
+        from repro.serve.protocol import DIGEST_SIZE, MAGIC
 
         escaped = []
         monkeypatch.setattr(threading, "excepthook", escaped.append)
@@ -468,6 +469,48 @@ class TestLifecycle:
         assert result.returncode == 2
         assert result.stderr.startswith("error:")
         assert "Traceback" not in result.stderr
+
+    def test_failing_shard_factory_fails_start(self):
+        # Executor shard contexts are built before anything listens, so
+        # a bad shard setting cannot leave a daemon that answers ping
+        # while its executors are dead.
+        daemon = ServeDaemon(
+            ServeConfig(bind="127.0.0.1:0", workers=2),
+            shard_factory=lambda: ShardContext(workers=-1),
+        )
+        try:
+            with pytest.raises(ValidationError, match="workers"):
+                daemon.start()
+            assert daemon.address is None  # never bound
+            assert not daemon._workers
+        finally:
+            daemon.stop(drain=False)
+
+    @pytest.mark.parametrize("flags", [
+        ["--shard-workers", "-1"],
+        ["--shard-workers", "2", "--faults", "{bad"],
+    ])
+    def test_bad_shard_flags_fail_before_ready(self, flags):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.serve",
+             "--bind", "127.0.0.1:0", *flags],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "REPRO-SERVE-READY" not in result.stdout
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (
+            result.stderr
+        )
+
+    def test_shard_backend_flag_removed(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.serve",
+             "--bind", "127.0.0.1:0", "--shard-backend", "process"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --shard-backend" in result.stderr
 
 
 # ---------------------------------------------------------------------- #

@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import repro.shard
-from registry_contract import RegistryContract
 from repro.core.fastpath import StackedLaplacians
 from repro.core.laplacian import build_view_laplacians
 from repro.core.pipeline import cluster_mvag
@@ -25,17 +23,13 @@ from repro.dynamic import DynamicMVAG
 from repro.neighbors import NeighborStats
 from repro.shard import (
     ArraySpec,
-    ShardBackend,
     ShardContext,
     ShardError,
     attached,
-    available_backends,
     create_segment,
     inline_spec,
-    register_backend,
     shard_objective_batch,
     shard_view_laplacians,
-    unregister_backend,
 )
 from repro.solvers import SolverContext
 from repro.utils.errors import ValidationError
@@ -136,7 +130,7 @@ class TestSharedMemory:
 
 
 # --------------------------------------------------------------------- #
-# Context policy + registry
+# Context policy
 # --------------------------------------------------------------------- #
 
 
@@ -158,13 +152,6 @@ class TestContextPolicy:
             assert shard.stats.dispatches == 0
             shard.close()
 
-    def test_serial_backend_forces_in_process(self):
-        shard = ShardContext(workers=4, backend="serial", min_items=0,
-                             min_bytes=0)
-        assert not shard.active
-        assert shard.run(_square, list(range(5))) == [0, 1, 4, 9, 16]
-        shard.close()
-
     def test_process_dispatch_ordering_and_common(self):
         with _forced(3) as shard:
             out = shard.run(
@@ -183,34 +170,14 @@ class TestContextPolicy:
     def test_config_make_shard(self):
         assert SGLAConfig().make_shard() is None
         assert SGLAConfig(shard_workers=0).make_shard() is None
-        shard = SGLAConfig(shard_workers=2, shard_backend="serial").make_shard()
-        assert shard.workers == 2 and shard.backend == "serial"
+        shard = SGLAConfig(shard_workers=2, shard_retries=4).make_shard()
+        assert shard.workers == 2 and shard.active
+        assert shard.retry_policy.max_attempts == 5
         shard.close()
         with pytest.raises(ValidationError):
             SGLAConfig(shard_workers=-1)
-
-    def test_registry_plugin_roundtrip(self):
-        class _Echo(ShardBackend):
-            name = "echo-test"
-
-            def run(self, func, items, common, plan, context):
-                return [func(item, common) for item in items]
-
-        try:
-            register_backend(_Echo())
-            shard = ShardContext(workers=2, backend="echo-test",
-                                 min_items=0, min_bytes=0)
-            assert shard.run(_square, [3], dispatch=True) == [9]
-            shard.close()
-        finally:
-            unregister_backend("echo-test")
-
-
-class TestRegistry(RegistryContract):
-    package = repro.shard
-
-    def test_builtins_registered(self):
-        assert set(available_backends()) >= {"process", "remote", "serial"}
+        with pytest.raises(TypeError):
+            SGLAConfig(shard_backend="process")
 
 
 # --------------------------------------------------------------------- #
@@ -482,19 +449,6 @@ class TestPipelineDeterminism:
             == sharded.integration.objective_value
         )
 
-    def test_serial_backend_matches_process(self, shard_mvag, sharded_outputs):
-        with ShardContext(
-            workers=3, backend="serial", min_items=0, min_bytes=0
-        ) as shard:
-            output = cluster_mvag(
-                shard_mvag, method="sgla+", config=SGLAConfig(), shard=shard
-            )
-        assert np.array_equal(
-            output.integration.weights,
-            sharded_outputs[1].integration.weights,
-        )
-        assert np.array_equal(output.labels, sharded_outputs[1].labels)
-
     def test_zero_workers_is_the_plain_pipeline(self, shard_mvag):
         """shard_workers=0 disables sharding entirely."""
         plain = cluster_mvag(shard_mvag, method="sgla+", config=SGLAConfig())
@@ -577,7 +531,7 @@ class TestDynamicSharding:
 
     def test_owned_shard_closed_by_close(self, shard_mvag):
         dynamic = DynamicMVAG(
-            shard_mvag, knn_k=8, shard_workers=2, shard_backend="serial"
+            shard_mvag, knn_k=8, shard_workers=2
         )
         assert dynamic._shard is not None
         dynamic.close()

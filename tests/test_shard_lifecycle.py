@@ -7,9 +7,8 @@ down silently — no ``Exception ignored in:`` noise on stderr, exit 0.
 
 The validation half pins the construction-time rejection of malformed
 deadlines, retry counts, and ``host:port`` strings (for the shard
-context, the worker ``--bind``, and the serve daemon's bind alike) —
-a typo fails as one clear :class:`ValidationError`, not a deep socket
-traceback under traffic.
+context and the serve daemon's bind alike) — a typo fails as one clear
+:class:`ValidationError`, not a deep socket traceback under traffic.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ import sys
 import pytest
 
 from repro.serve.config import ServeConfig
+from repro.serve.protocol import parse_address
 from repro.shard import ShardContext
-from repro.shard.remote import parse_address
 from repro.utils.errors import ValidationError
 
 
@@ -121,16 +120,6 @@ class TestValidation:
     def test_serve_config_rejects_malformed(self, kwargs):
         with pytest.raises(ValidationError):
             ServeConfig(**kwargs)
-
-    def test_worker_rejects_malformed_bind_cleanly(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.shard.worker",
-             "--bind", "garbage"],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert result.returncode == 2
-        assert result.stderr.startswith("error:")
-        assert "Traceback" not in result.stderr
 
 
 def _double(item, common):

@@ -44,7 +44,7 @@ def _priorities(served, p50, p99) -> dict:
 DAEMON_SNAPSHOTS = (
     {
         "ok": True,
-        "shard": {"degradation_rung": 0},
+        "shard": {"contexts": 0},
         "stats": {
             "totals": _totals(12, 9, 1, 1, 0, 1, 0, 4, 3, 1.25, 8.5),
             "tenants": {
@@ -60,7 +60,7 @@ DAEMON_SNAPSHOTS = (
     },
     {
         "ok": True,
-        "shard": {"degradation_rung": 1},
+        "shard": {"contexts": 2},
         "stats": {
             "totals": _totals(20, 17, 2, 0, 1, 0, 2, 6, 5, 2.5, 31.0),
             "tenants": {
@@ -108,13 +108,12 @@ def test_shard_line():
     stats = ShardStats(
         dispatches=4, serial_dispatches=3, tasks=22, shards_used=8,
         segments=5, bytes_shared=3 * 1048576 + 524288, failures=1,
-        retries=2, redispatches=1, degradations=1, workers_quarantined=1,
+        retries=2, redispatches=1,
     )
     stats.merge(stats)
     assert stats.summary() == (
         "8 sharded + 6 serial dispatches (44 tasks over 16 shards; "
-        "7.0 MB shared in 10 segments, 2 failed, 4 retries/2 redispatched, "
-        "2 degraded, 2 quarantined)"
+        "7.0 MB shared in 10 segments, 2 failed, 4 retries/2 redispatched)"
     )
 
 
