@@ -1,17 +1,21 @@
 """Spectral-solver backend benchmark (DESIGN.md §7–8).
 
-Compares the single-solve backends — dense / lanczos — on aggregated
-MVAG Laplacians at several sizes, measures the ``batch`` backend's
-wall-clock win over naive sequential solves of a set of related weight
-vectors (the SGLA+ sampling workload), and measures the
-adaptive-precision **tolerance ladder** on ``lanczos`` (SGLA end-to-end:
-trust-radius-driven eigensolve tolerances versus fixed-tolerance solves —
-same ``w*``, fewer matvecs).
+Compares the two backends — dense / lanczos — on aggregated MVAG
+Laplacians at several sizes, measures their **crossover** (the table
+behind ``resolve_method``'s ``auto`` rule, DESIGN.md §7), and measures
+the adaptive-precision **tolerance ladder** on ``lanczos`` (SGLA
+end-to-end: trust-radius-driven eigensolve tolerances versus
+fixed-tolerance solves — same ``w*``, fewer matvecs).
 
-The batch win combines thread-level overlap (scipy's solvers release the
-GIL) with shared warm-start seeding; on a single-core host the seeding
-term is what remains, so the acceptance floor gates on the combined
-wall-clock only.  The ladder win is deterministic (it removes solver
+The crossover section times each backend forced on the two workloads
+the rule separates: a warm ``SGLA.fit`` on prebuilt view Laplacians (the
+``t = k + 1`` optimizer loop) and one cold ``bottom_eigenpairs`` at large
+``t`` (the embedding stage's rank-64/128/256 solves).  Each row prints
+both times, the faster backend and ``auto``'s pick.  Every row's
+eigenvalues must match dense to ``BACKEND_MAX_ERROR``; full mode also
+requires ``auto`` to pick the faster backend wherever the two differ by
+at least ``PICK_MARGIN``.  Smoke mode (CI) runs three rows and has no
+timing gate.  The ladder win is deterministic (it removes solver
 iterations, not work that depends on the host), so it is gated in smoke
 mode too: strictly fewer matvecs and ``max |dw*| < 1e-6`` vs the
 fixed-tolerance run.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 # Importable both under pytest (benchmarks/conftest.py) and as a script.
@@ -40,10 +45,25 @@ from harness import emit, emit_json, format_table
 from repro.core.laplacian import aggregate_laplacians, build_view_laplacians
 from repro.core.sgla import SGLA, SGLAConfig
 from repro.datasets.generator import generate_mvag
-from repro.solvers import BatchedBackend, EigenProblem, get_backend
+from repro.datasets.profiles import dataset_profile
+from repro.solvers import (
+    EigenProblem,
+    bottom_eigenvalues,
+    get_backend,
+    resolve_method,
+)
 
-#: acceptance floor — the batch backend must beat sequential wall-clock.
-BATCH_FLOOR = 1.0
+#: full-mode gate — ``auto`` must pick the faster backend wherever the
+#: slower one takes at least this many times as long.
+PICK_MARGIN = 1.3
+
+#: crossover rows: (recipe, n) warm SGLA fits, (recipe, n, t) cold solves.
+LOOP_ROWS = [("mag_phy_small", n) for n in (200, 300, 400, 600)]
+WIDE_ROWS = [
+    ("amazon_photos", n, t) for n in (1500, 3000) for t in (64, 128, 256)
+]
+SMOKE_LOOP_ROWS = [("mag_phy_small", 200), ("mag_phy_small", 400)]
+SMOKE_WIDE_ROWS = [("amazon_photos", 1500, 128)]
 
 #: acceptance ceiling — the ladder's w* must match the fixed-tol run.
 LADDER_DELTA_W = 1e-6
@@ -68,15 +88,20 @@ def _laplacians(n, seed=0, n_clusters=4, strengths=(0.8, 0.4, 0.2),
     return build_view_laplacians(mvag, knn_k=knn_k)
 
 
-def _nearby_weights(r, count, scale=0.02, seed=0):
-    """Weight vectors clustered around uniform — the optimizer workload."""
-    rng = np.random.default_rng(seed)
-    base = np.full(r, 1.0 / r)
-    rows = []
-    for _ in range(count):
-        weights = np.clip(base + rng.normal(scale=scale, size=r), 0.02, None)
-        rows.append(weights / weights.sum())
-    return rows
+@lru_cache(maxsize=None)
+def _recipe_laplacians(profile, n, seed=0):
+    """View Laplacians of a profile's recipe regenerated at ``n`` nodes
+    (cached: the cold rows share one operand per size)."""
+    recipe = dataset_profile(profile)
+    mvag = generate_mvag(
+        n_nodes=n,
+        n_clusters=recipe.k,
+        graph_view_strengths=recipe.graph_views,
+        attribute_view_dims=recipe.attribute_views,
+        balance=recipe.balance,
+        seed=seed,
+    )
+    return build_view_laplacians(mvag, knn_k=recipe.knn_k), recipe.k
 
 
 def _best_of(func, repeats=3):
@@ -111,39 +136,64 @@ def bench_backends(sizes, t=5, seed=0):
     return rows
 
 
-def bench_batch(n, count, t=5, seed=0):
-    """Sequential cold solves vs one threaded, seed-shared batch call."""
-    laplacians = _laplacians(n, seed=seed)
-    matrices = [
-        aggregate_laplacians(laplacians, w)
-        for w in _nearby_weights(len(laplacians), count, seed=seed)
-    ]
-    problems = [EigenProblem(m, t, seed=seed) for m in matrices]
-    lanczos = get_backend("lanczos")
-    batch = BatchedBackend()
-
-    sequential_results = [lanczos.solve(p) for p in problems]
-    sequential_seconds = _best_of(
-        lambda: [lanczos.solve(p) for p in problems]
-    )
-    batch_results = batch.solve_many([EigenProblem(m, t, seed=seed) for m in matrices])
-    batch_seconds = _best_of(
-        lambda: batch.solve_many([EigenProblem(m, t, seed=seed) for m in matrices])
-    )
-    max_error = max(
-        float(np.max(np.abs(a.values - b.values)))
-        for a, b in zip(sequential_results, batch_results)
-    )
+def _crossover_row(kind, profile, n, t, times, error):
+    dense_s, lanczos_s = times["dense"], times["lanczos"]
+    faster = "dense" if dense_s <= lanczos_s else "lanczos"
     return {
+        "kind": kind,
+        "recipe": profile,
         "n": n,
-        "count": count,
-        "sequential_s": sequential_seconds,
-        "batch_s": batch_seconds,
-        "speedup": sequential_seconds / max(batch_seconds, 1e-12),
-        "sequential_matvecs": sum(r.matvecs for r in sequential_results),
-        "batch_matvecs": sum(r.matvecs for r in batch_results),
-        "max_error": max_error,
+        "t": t,
+        "dense_s": dense_s,
+        "lanczos_s": lanczos_s,
+        "faster": faster,
+        "ratio": max(dense_s, lanczos_s) / max(min(dense_s, lanczos_s), 1e-12),
+        "auto": resolve_method(n, t, "auto"),
+        "max_error": error,
     }
+
+
+def bench_crossover_loop(rows, seed=0):
+    """Warm ``SGLA.fit`` on prebuilt view Laplacians, each backend forced.
+
+    The eigenvalue check solves the dense fit's ``L(w*)`` on Lanczos.
+    """
+    out = []
+    for profile, n in rows:
+        laplacians, k = _recipe_laplacians(profile, n, seed=seed)
+        times, fits = {}, {}
+        for backend in ("dense", "lanczos"):
+            config = SGLAConfig(seed=seed, eigen_backend=backend)
+            fits[backend] = SGLA(config).fit(laplacians, k=k)
+            times[backend] = _best_of(
+                lambda: SGLA(config).fit(laplacians, k=k)
+            )
+        laplacian = fits["dense"].laplacian
+        reference = bottom_eigenvalues(laplacian, k + 1, method="dense")
+        values = bottom_eigenvalues(
+            laplacian, k + 1, method="lanczos", seed=seed
+        )
+        error = float(np.max(np.abs(values - reference)))
+        out.append(_crossover_row("loop", profile, n, k + 1, times, error))
+    return out
+
+
+def bench_crossover_wide(rows, seed=0):
+    """One cold large-``t`` solve of ``L(uniform)``, each backend forced."""
+    out = []
+    for profile, n, t in rows:
+        laplacians, _ = _recipe_laplacians(profile, n, seed=seed)
+        weights = np.full(len(laplacians), 1.0 / len(laplacians))
+        laplacian = aggregate_laplacians(laplacians, weights)
+        times, values = {}, {}
+        for backend in ("dense", "lanczos"):
+            solver = get_backend(backend)
+            problem = EigenProblem(laplacian, t, seed=seed)
+            values[backend] = solver.solve(problem).values
+            times[backend] = _best_of(lambda: solver.solve(problem))
+        error = float(np.max(np.abs(values["lanczos"] - values["dense"])))
+        out.append(_crossover_row("cold", profile, n, t, times, error))
+    return out
 
 
 def bench_ladder(n, seed=0, backends=("lanczos",)):
@@ -199,34 +249,22 @@ def run(smoke: bool = False, capsys=None, echo_json: bool = False) -> bool:
         title="single-solve backend comparison (t=5 bottom eigenpairs)",
     )
 
-    batch_cases = (
-        [(2000, 8)] if smoke else [(2000, 8), (5000, 8), (10000, 12)]
-    )
-    batch_stats = [bench_batch(n, count) for n, count in batch_cases]
-    batch_rows = [
-        (
-            s["n"],
-            s["count"],
-            s["sequential_s"],
-            s["batch_s"],
-            s["speedup"],
-            s["sequential_matvecs"],
-            s["batch_matvecs"],
-        )
-        for s in batch_stats
-    ]
-    batch_table = format_table(
+    crossover = bench_crossover_loop(
+        SMOKE_LOOP_ROWS if smoke else LOOP_ROWS
+    ) + bench_crossover_wide(SMOKE_WIDE_ROWS if smoke else WIDE_ROWS)
+    crossover_table = format_table(
+        ["solve", "recipe", "n", "t", "dense (s)", "lanczos (s)", "faster",
+         "ratio", "auto", "max |dλ|"],
         [
-            "n",
-            "solves",
-            "sequential (s)",
-            "batch (s)",
-            "speedup",
-            "seq matvecs",
-            "batch matvecs",
+            (
+                "warm SGLA.fit" if c["kind"] == "loop" else "cold",
+                c["recipe"], c["n"], c["t"], c["dense_s"], c["lanczos_s"],
+                c["faster"], f"{c['ratio']:.2f}x", c["auto"],
+                f"{c['max_error']:.1e}",
+            )
+            for c in crossover
         ],
-        batch_rows,
-        title="\nbatch backend vs sequential cold solves (nearby weight vectors)",
+        title="\ndense/lanczos crossover (best of 3; auto = resolve_method)",
     )
 
     ladder_stats = bench_ladder(800 if smoke else 1200)
@@ -248,7 +286,7 @@ def run(smoke: bool = False, capsys=None, echo_json: bool = False) -> bool:
     name = "solvers" + ("_smoke" if smoke else "")
     emit(
         name,
-        backend_table + "\n" + batch_table + "\n" + ladder_table,
+        backend_table + "\n" + crossover_table + "\n" + ladder_table,
         capsys,
     )
     emit_json(
@@ -264,36 +302,26 @@ def run(smoke: bool = False, capsys=None, echo_json: bool = False) -> bool:
                 }
                 for n, backend, elapsed, _, error in backend_rows
             ],
-            "batch": batch_stats,
+            "crossover": crossover,
             "tolerance_ladder": ladder_stats,
         },
         echo=echo_json,
     )
 
     ok = True
-    # The wall-clock margin on a single-core runner comes from warm-start
-    # seeding alone (~1.1x) and sits inside shared-CI timing noise, so
-    # smoke mode gates on the deterministic matvec reduction plus a
-    # no-clear-regression wall-clock bound; full mode requires the strict
-    # wall-clock win.
-    floor = 0.85 if smoke else BATCH_FLOOR
-    for stats in batch_stats:
-        if stats["speedup"] <= floor:
+    for c in crossover:
+        if c["max_error"] > BACKEND_MAX_ERROR:
             print(
-                f"FAIL: batch backend not faster at n={stats['n']} "
-                f"({stats['batch_s']:.3f}s vs {stats['sequential_s']:.3f}s)"
+                f"FAIL: lanczos off dense by {c['max_error']:.2e} on the "
+                f"{c['kind']} row n={c['n']} t={c['t']}"
             )
             ok = False
-        if stats["batch_matvecs"] >= stats["sequential_matvecs"]:
+        # Timing is gated in full mode only: smoke runs on shared CI.
+        mispicked = c["ratio"] >= PICK_MARGIN and c["auto"] != c["faster"]
+        if mispicked and not smoke:
             print(
-                f"FAIL: batch seeding saved no matvecs at n={stats['n']} "
-                f"({stats['batch_matvecs']} vs {stats['sequential_matvecs']})"
-            )
-            ok = False
-        if stats["max_error"] > 1e-8:
-            print(
-                f"FAIL: batch/sequential eigenvalue mismatch "
-                f"{stats['max_error']:.2e} at n={stats['n']}"
+                f"FAIL: auto picks {c['auto']} at n={c['n']} t={c['t']}, "
+                f"but {c['faster']} is {c['ratio']:.2f}x faster"
             )
             ok = False
     # Every single-solve backend runs at its default (machine) precision,

@@ -55,7 +55,8 @@ def wmsc_cluster(
     """Cluster an MVAG with spectral-perturbation view weighting.
 
     ``solver`` optionally routes the per-view eigensolves through a shared
-    :class:`repro.solvers.SolverContext` (e.g. the ``batch`` backend).
+    :class:`repro.solvers.SolverContext` (its backend policy, warm-start
+    blocks and statistics).
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")

@@ -128,8 +128,8 @@ def _add_solver_args(subparser) -> None:
         "--solver-workers",
         type=int,
         default=None,
-        help="thread budget for the 'batch' backend and the KNN graph "
-        "build (default: core count)",
+        help="thread budget of the exact KNN builds' similarity blocks, "
+        "used above one block of 2048 nodes (default: serial)",
     )
     subparser.add_argument(
         "--knn-backend",

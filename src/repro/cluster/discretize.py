@@ -115,10 +115,10 @@ def discretize(
 
     rng = check_random_state(seed)
     vectors = _row_normalize(vectors)
-    best_labels, best_objective = None, -np.inf
+    best = None
     for _ in range(STARTS):
         rotation = _initial_rotation(vectors, k, rng)
         labels, objective = _alternate(vectors, rotation, max_iter, tol)
-        if objective > best_objective + tol:
-            best_labels, best_objective = labels, objective
-    return best_labels
+        if best is None or objective > best[1] + tol:
+            best = (labels, objective)
+    return best[0]

@@ -16,8 +16,9 @@ per-evaluation sparse allocations at all.
 The CSRs from :meth:`~StackedLaplacians.combine` /
 :meth:`~StackedLaplacians.with_data` feed directly into the
 spectral-solver registry (DESIGN.md §7): the objective hands them to its
-:class:`repro.solvers.SolverContext`, and batched callers pass whole
-chunks to the ``batch`` backend's threaded ``solve_many``.
+:class:`repro.solvers.SolverContext`, and batched callers aggregate whole
+chunks with :meth:`~StackedLaplacians.combine_many` and solve them row by
+row, in-process or over a shard context.
 
 Zero weights are handled naturally by the GEMV (their rows contribute
 nothing); the union pattern therefore contains explicit zeros for entries

@@ -142,8 +142,8 @@ class SpectralObjective:
     shard:
         Optional :class:`repro.shard.ShardContext`.  When given,
         :meth:`evaluate_batch` partitions its distinct eigensolves over
-        the context's process pool using the ``batch`` backend's
-        shared-seeding scheme (DESIGN.md §10) — bit-identical for every
+        the context's process pool, every row seeded from the first
+        row's Ritz block (DESIGN.md §10) — bit-identical for every
         worker count, including the in-process serial fallback.  Single
         evaluations are never sharded.
     """
@@ -221,20 +221,22 @@ class SpectralObjective:
 
     def _solve(self, weights: np.ndarray) -> np.ndarray:
         """One eigensolve for ``L(w)``; the hot inner call."""
-        method = self._resolved_eigen_method()
-        if method == "dense":
-            return self.solver.eigenvalues(
-                self.stack.combine(weights), self.k + 1, method="dense",
-                warm=False,
-            )
-        return self._solve_prepared(self.stack.combine(weights), method)
+        return self._solve_prepared(
+            self.stack.combine(weights), self._resolved_eigen_method()
+        )
 
     def _solve_prepared(self, laplacian, method: str) -> np.ndarray:
-        """Iterative eigensolve of an already-aggregated ``L(w)``.
+        """Eigenvalues of an already-aggregated ``L(w)`` on ``method``.
 
-        The context supplies the warm-start Ritz block (and refreshes it
-        from this solve's vectors) when warm starting is enabled.
+        A dense solve computes values only (it ignores start vectors, so
+        it neither reads nor refreshes a warm block); an iterative one
+        takes the context's warm-start Ritz block and refreshes it from
+        its vectors when warm starting is enabled.
         """
+        if method == "dense":
+            return self.solver.eigenvalues(
+                laplacian, self.k + 1, method="dense", warm=False
+            )
         return self.solver.eigenvalues(laplacian, self.k + 1, method=method)
 
     # ------------------------------------------------------------------ #
@@ -348,9 +350,9 @@ class SpectralObjective:
         solved before the next is materialized), and warm-starts each
         eigensolve from the previous point in the batch (adjacent points —
         e.g. neighboring grid nodes of a surface sweep — have nearby
-        spectra).  When the solver context selects the ``batch`` backend,
-        each chunk is handed to its threaded, seed-shared ``solve_many``
-        in one call instead of the sequential warm-start chain.
+        spectra), on the backend :meth:`components` would use.  With a
+        shard context the distinct rows are partitioned over its process
+        pool instead (:func:`repro.shard.api.shard_objective_batch`).
 
         Returns ``(components, n_eigensolves)`` where ``n_eigensolves`` is
         the number of eigensolves actually performed for this batch (cache
@@ -373,11 +375,11 @@ class SpectralObjective:
             weight_rows = np.asarray([points[ids[0]] for _, ids in unique])
             method = self._resolved_eigen_method()
             if self.shard is not None:
-                # Sharded batch (DESIGN.md §10): the ``batch`` backend's
-                # shared-seeding scheme at process level — the seed row
-                # is solved in-parent, every other row is an independent
-                # problem dispatched over the shard context, so the
-                # values are bit-identical for every worker count.
+                # Sharded batch (DESIGN.md §10): the seed row is solved
+                # in-parent and its Ritz block seeds every other row, so
+                # each row is an independent problem dispatched over the
+                # shard context and the values are bit-identical for
+                # every worker count.
                 # Chunking, seeding, and per-solve stats recording
                 # happen in :func:`repro.shard.api.shard_objective_batch`.
                 value_rows = shard_objective_batch(
@@ -393,32 +395,13 @@ class SpectralObjective:
                     data_rows = self.stack.combine_many(
                         weight_rows[start : start + chunk]
                     )
-                    chunk_items = unique[start : start + chunk]
-                    matrices = [
-                        self.stack.with_data(row) for row in data_rows
+                    value_rows = [
+                        self._solve_prepared(self.stack.with_data(row), method)
+                        for row in data_rows
                     ]
-                    if method == "batch":
-                        # Native batch path: one threaded, seed-shared
-                        # call for the whole chunk (repro.solvers.batch).
-                        solved = self.solver.solve_many(
-                            matrices, self.k + 1, want_vectors=False
-                        )
-                        value_rows = [values for values, _ in solved]
-                    elif method == "dense":
-                        value_rows = [
-                            self.solver.eigenvalues(
-                                matrix, self.k + 1, method="dense",
-                                warm=False,
-                            )
-                            for matrix in matrices
-                        ]
-                    else:
-                        value_rows = [
-                            self._solve_prepared(matrix, method)
-                            for matrix in matrices
-                        ]
                     n_solves += self._store_solved_rows(
-                        value_rows, chunk_items, points, results
+                        value_rows, unique[start : start + chunk], points,
+                        results,
                     )
         self.solver.note_saved(len(points) - n_solves)
         return list(results), n_solves

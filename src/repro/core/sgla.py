@@ -63,8 +63,10 @@ class SGLAConfig:
         :mod:`repro.solvers` registry key; any other name is rejected
         here, before the run builds or caches anything.
     solver_workers:
-        Thread budget for the ``batch`` backend's concurrent solves
-        (``None`` uses the host core count).
+        Thread budget of the exact kNN builds' similarity blocks
+        (``exact`` / ``exact-f32``); they thread only above one block
+        (2048 nodes) and when this is ``> 1``.  ``None`` (default)
+        builds serially.
     rho_start:
         Initial trust radius of the optimizer.
     surrogate_max_evaluations:
@@ -87,8 +89,9 @@ class SGLAConfig:
         iterations; ``w*`` moves by up to ~1e-6.  SGLA+ uses it for its
         sampling stage, and the multilevel refine keys it to its step
         movement (DESIGN.md §12).  Solves that resolve to ``dense`` are
-        exact at any tolerance, so on dense-sized problems the ladder
-        changes nothing.  ``False`` runs every solve at the backend
+        exact at any tolerance, so where the loop runs dense (``auto``
+        at n <= 300, or ``eigen_backend="dense"``) the ladder changes
+        nothing.  ``False`` runs every solve at the backend
         default: the fixed-tolerance reference.
     shard_workers:
         Process budget of the sharded execution subsystem (DESIGN.md
@@ -177,7 +180,6 @@ class SGLAConfig:
             method=self.eigen_backend,
             seed=self.seed,
             warm_start=self.warm_start,
-            max_workers=self.solver_workers,
         )
 
     def make_shard(self) -> Optional[ShardContext]:

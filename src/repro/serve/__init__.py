@@ -30,8 +30,8 @@ per-worker :class:`~repro.shard.ShardContext`\\ s.  The robustness core:
   answered from memory in microseconds, bit-identical to recomputation;
 * **cross-request batching** — compatible objective requests are
   coalesced into one :meth:`~repro.core.objective.SpectralObjective.
-  evaluate_batch` call through the existing ``batch`` /
-  ``shard_objective_batch`` machinery; solves run cold
+  evaluate_batch` call (row by row in-process, or through
+  ``shard_objective_batch`` on a shard context); solves run cold
   (``warm_start=False``) so a request's results are bit-identical
   whether it was batched, served alone, or computed in-process — one
   tenant's traffic can never perturb another's numbers;

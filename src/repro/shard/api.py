@@ -11,8 +11,7 @@ Two workloads are partitioned (ISSUE/DESIGN.md §10):
   deterministic computation.
 * **by weight batch** — :func:`shard_objective_batch` solves the
   eigenproblems of a batch of aggregated Laplacians ``L(w_1..w_m)``
-  (the SGLA+ sample stage, surface sweeps).  It reproduces the ``batch``
-  eigensolver backend's shared-seeding scheme at process level: the
+  (the SGLA+ sample stage, surface sweeps) with shared seeding: the
   first row is solved in the parent (warm-started from the solver
   context's block when one exists) and its Ritz block seeds every other
   row, making each row an independent problem whose result cannot
@@ -36,7 +35,6 @@ from repro.shard.tasks import (
     view_laplacian_task,
 )
 from repro.solvers.base import EigenProblem
-from repro.solvers.batch import BatchedBackend
 from repro.solvers.context import SolverContext, solve_tolerance
 from repro.solvers.registry import get_backend as get_eigen_backend
 
@@ -209,28 +207,23 @@ def shard_objective_batch(
 ) -> List[np.ndarray]:
     """Bottom-``t`` eigenvalues of ``L(w)`` for every weight row.
 
-    Mirrors :meth:`repro.solvers.batch.BatchedBackend.solve_many`'s
-    shared seeding exactly (including the rule that a pre-existing
-    context warm block outranks the fresh seed solve), records every
-    solve into ``solver.stats`` under ``shard[<inner>]``, and installs
-    the seed solve's Ritz block into the context so downstream stages
-    warm-start just as they would after a threaded batch.
+    ``method`` is the resolved backend.  Row 0 is solved in the parent,
+    warm-started from the context's block when one exists; its Ritz
+    block (or that pre-existing context block, which outranks it) seeds
+    every other row.  Every solve is recorded into ``solver.stats``
+    under ``shard[<method>]``, and the seed solve's Ritz block is
+    installed into the context so downstream stages warm-start from it.
     """
     weight_rows = np.asarray(weight_rows, dtype=np.float64)
     m = weight_rows.shape[0]
     if m == 0:
         return []
-    inner = method
-    if method == "batch":
-        backend = get_eigen_backend("batch")
-        if isinstance(backend, BatchedBackend):
-            inner = backend.inner
     # The dense backend ignores start vectors, and the in-process path
     # (SolverContext._one_solve) never assembles Ritz blocks for it — an
     # eigh call that also computes vectors rounds its eigenvalues
     # differently at the last ulp, so requesting vectors here would break
     # shard-vs-serial bit identity.  Mirror the same coupling.
-    warm = solver.warm_start and inner != "dense"
+    warm = solver.warm_start and method != "dense"
     parent_block = solver.warm_block(stack.n) if warm else None
     chunk = stack.batch_rows()
     values: List[np.ndarray] = []
@@ -242,9 +235,7 @@ def shard_objective_batch(
             # Seed solve in the parent: global row 0.  Ritz vectors are
             # only assembled (and shared with followers) under
             # warm_start — with it disabled every row must solve cold,
-            # exactly like the in-process paths (the batch backend's
-            # share_seed=warm_start rule and the sequential chain's
-            # cold solves).
+            # exactly like the in-process sequential chain.
             problem = EigenProblem(
                 stack.with_data(data_rows[0]),
                 t,
@@ -253,7 +244,7 @@ def shard_objective_batch(
                 v0=parent_block,
                 want_vectors=warm,
             )
-            result = get_eigen_backend(inner).solve(problem)
+            result = get_eigen_backend(method).solve(problem)
             solver.stats.record(
                 replace(result, backend=f"shard[{result.backend}]"),
                 warm=parent_block is not None,
@@ -282,7 +273,7 @@ def shard_objective_batch(
             ),
             "shape": tuple(stack.shape),
             "t": int(t),
-            "method": inner,
+            "method": method,
             "tol": float(solver.tol),
             "seed": solver.seed,
             # The seed block is re-shared per chunk: ephemeral segments

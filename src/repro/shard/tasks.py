@@ -111,9 +111,9 @@ def eigensolve_task(
     The aggregated data rows and the (run-persistent) union sparsity
     pattern arrive via shared memory; the row index selects this item's
     slice.  Every item is an *independent* problem — same tolerance,
-    same seed, same shared warm-start block ``v0`` — mirroring the
-    ``batch`` eigensolver backend's shared-seeding scheme, so the result
-    does not depend on which shard (or process) solved it.
+    same seed, same shared warm-start block ``v0`` (the seed row's Ritz
+    block) — so the result does not depend on which shard (or process)
+    solved it.
     """
     row = int(item["row"])
     with ExitStack() as stack:

@@ -1,8 +1,9 @@
 """Pluggable spectral-solver subsystem (DESIGN.md §7–8).
 
 Every eigensolve in the repository routes through this package: a
-string-keyed **backend registry** (``dense``, ``lanczos``, ``batch``), a
-shared dispatch policy (:func:`resolve_method`), stateless one-shot entry
+string-keyed **backend registry** (``dense``, ``lanczos``), a shared
+dispatch policy over problem size and pair count (:func:`resolve_method`,
+the measured dense/Lanczos crossover), stateless one-shot entry
 points (:func:`bottom_eigenpairs` / :func:`bottom_eigenvalues` /
 :func:`fiedler_value`), and a :class:`SolverContext` that carries
 warm-start Ritz blocks and solve statistics across the calls of one run.
@@ -40,10 +41,8 @@ from repro.solvers.base import (
     MatvecCounter,
     canonicalize_signs,
 )
-from repro.solvers.batch import BatchedBackend, default_workers
 from repro.solvers.context import SolverContext, SolverStats
 from repro.solvers.registry import (
-    DENSE_CUTOFF,
     available_backends,
     get_backend,
     register_backend,
@@ -52,8 +51,6 @@ from repro.solvers.registry import (
 )
 
 __all__ = [
-    "BatchedBackend",
-    "DENSE_CUTOFF",
     "EigenBackend",
     "EigenProblem",
     "EigenResult",
@@ -65,7 +62,6 @@ __all__ = [
     "bottom_eigenpairs",
     "bottom_eigenvalues",
     "canonicalize_signs",
-    "default_workers",
     "fiedler_value",
     "get_backend",
     "prepare",

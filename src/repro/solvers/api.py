@@ -1,7 +1,7 @@
 """Stateless entry points over the backend registry.
 
 One-shot solves with no cross-call state.  Callers that evaluate many
-related problems (optimizer loops, batch sweeps) should hold a
+related problems (optimizer loops, weight-batch sweeps) should hold a
 :class:`repro.solvers.context.SolverContext` instead, which layers
 warm-start reuse and statistics on top of the same registry.
 """
@@ -14,7 +14,6 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 import repro.solvers.backends  # noqa: F401  — registers the built-ins
-import repro.solvers.batch  # noqa: F401  — registers the batch backend
 from repro.solvers.base import EigenProblem
 from repro.solvers.registry import get_backend, resolve_method
 from repro.utils.errors import ValidationError

@@ -10,9 +10,10 @@ All backends compute the *bottom* of a symmetric PSD spectrum contained in
   complement ``2I - L`` (largest-of-complement converges without any
   sparse factorization).
 
-Together with :mod:`repro.solvers.batch` these are the only modules in the
-repository allowed to call ``scipy.linalg.eigh`` / ``eigsh`` directly —
-everything else goes through the registry (:mod:`repro.solvers.registry`).
+This is the only module in the repository allowed to call
+``scipy.linalg.eigh`` / ``eigsh`` directly — everything else goes through
+the registry (:mod:`repro.solvers.registry`), whose ``auto`` rule picks
+between the two by problem size and pair count.
 """
 
 from __future__ import annotations

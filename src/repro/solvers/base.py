@@ -15,8 +15,8 @@ backend comparisons measurable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -58,13 +58,6 @@ class EigenProblem:
     def n(self) -> int:
         """Problem dimension."""
         return self.operand.shape[0]
-
-    def with_v0(self, v0: Optional[np.ndarray]) -> "EigenProblem":
-        """A copy of this problem seeded with ``v0`` (keeps an explicit
-        caller-provided warm start if one is already set)."""
-        if self.v0 is not None:
-            return self
-        return replace(self, v0=v0)
 
 
 @dataclass
@@ -140,10 +133,6 @@ class EigenBackend:
 
     def solve(self, problem: EigenProblem) -> EigenResult:
         raise NotImplementedError
-
-    def solve_many(self, problems: List[EigenProblem]) -> List[EigenResult]:
-        """Solve a batch of problems; sequential unless overridden."""
-        return [self.solve(problem) for problem in problems]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -7,11 +7,11 @@ registry lookup cannot:
 * **warm-start Ritz blocks**, keyed by problem size, reused across every
   solve the context performs (optimizer steps move weights slightly, so
   consecutive spectra are close — the blocks cut iteration counts);
-* **dispatch policy** — the backend choice, resolved through the one
-  shared :func:`repro.solvers.registry.resolve_method` rule;
+* **dispatch policy** — the backend choice, resolved per ``(n, t)``
+  through the one shared :func:`repro.solvers.registry.resolve_method`
+  rule;
 * **statistics** — eigensolves performed and saved, warm/cold split, and
-  matvec counts, so warm-start and batching benefits are measurable
-  end to end.
+  matvec counts, so warm-start benefits are measurable end to end.
 
 One context is meant to live for one logical run (one ``fit``, one
 pipeline invocation) and may be shared across its stages: the objective's
@@ -21,14 +21,13 @@ clustering/embedding eigensolve on ``L(w*)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.solvers.api import validate_operand
 from repro.solvers.base import EigenProblem, EigenResult
-from repro.solvers.batch import BatchedBackend
 from repro.solvers.registry import get_backend, resolve_method
 from repro.utils.counters import Counters
 from repro.utils.errors import ValidationError
@@ -54,8 +53,9 @@ class SolverStats(Counters):
     a caller-side cache or dedup (callers report them via
     :meth:`SolverContext.note_saved`); ``matvecs`` aggregates operator
     applications across iterative solves, the quantity warm starting
-    actually reduces.  Sharded dispatches fold per-worker stats back in
-    item order with :meth:`merge`.
+    actually reduces.  ``batched_solves`` counts the solves of sharded
+    weight batches (:func:`repro.shard.api.shard_objective_batch`), which
+    fold per-worker stats back in item order with :meth:`merge`.
     """
 
     solves: int = 0
@@ -114,8 +114,8 @@ class SolverContext:
     Parameters
     ----------
     method:
-        ``"auto"`` or a registered backend key; the per-problem dispatch
-        still applies the shared fallback rules (dense below the cutoff,
+        ``"auto"`` or a registered backend key; each problem is still
+        dispatched through the shared rule (``auto`` by ``(n, t)``,
         ARPACK's size constraint).
     tol, seed:
         Passed to every solve (determinism comes from ``seed``).
@@ -123,9 +123,6 @@ class SolverContext:
         Reuse each solve's Ritz block to seed the next solve of the same
         problem size.  Never changes tolerances, so accuracy is identical
         to cold starts.
-    max_workers:
-        Thread budget for :meth:`solve_many` when the ``batch`` backend is
-        selected.
     """
 
     def __init__(
@@ -134,13 +131,11 @@ class SolverContext:
         tol: float = 0.0,
         seed=0,
         warm_start: bool = True,
-        max_workers: Optional[int] = None,
     ) -> None:
         self.method = method
         self.tol = float(tol)
         self.seed = seed
         self.warm_start = bool(warm_start)
-        self.max_workers = max_workers
         self.stats = SolverStats()
         self._warm_blocks: Dict[int, np.ndarray] = {}
 
@@ -224,24 +219,13 @@ class SolverContext:
         )
         return problem, v0 is not None
 
-    def _finish(
-        self,
-        result: EigenResult,
-        warm_used: bool,
-        batched: bool = False,
-        label: Optional[str] = None,
-    ):
-        """Keep the result's Ritz block and record it in the stats, under
-        ``label`` in place of the backend name when one is given."""
+    def _finish(self, result: EigenResult, warm_used: bool) -> EigenResult:
+        """Keep the result's Ritz block and record it in the stats."""
         block = result.vectors
         if block is not None and self.warm_start:
             self._warm_blocks[block.shape[0]] = block
         coarse = solve_tolerance(result.backend, self.tol) > 0
-        if label is not None:
-            result = replace(result, backend=label)
-        self.stats.record(
-            result, warm=warm_used, batched=batched, coarse=coarse
-        )
+        self.stats.record(result, warm=warm_used, coarse=coarse)
         return result
 
     def _one_solve(
@@ -309,58 +293,14 @@ class SolverContext:
         method: Optional[str] = None,
         want_vectors: bool = True,
     ) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
-        """Solve a batch of related Laplacians.
-
-        When the resolved backend exposes a native batch path (the
-        ``batch`` backend), the whole list is handed over in one call —
-        threaded, with shared warm-start seeding.  Any other backend runs
-        sequentially with this context's usual warm-start chaining.
-        """
-        if not len(laplacians):
-            return []
-        validated = [
-            validate_operand(laplacian, t) for laplacian in laplacians
+        """Solve a list of related Laplacians in order, each warm-started
+        from the one before (:meth:`eigenpairs` / :meth:`eigenvalues`)."""
+        if want_vectors:
+            return [
+                self.eigenpairs(laplacian, t, method=method)
+                for laplacian in laplacians
+            ]
+        return [
+            (self.eigenvalues(laplacian, t, method=method), None)
+            for laplacian in laplacians
         ]
-        _, n, first_t = validated[0]
-        resolved = self.resolve(n, first_t, method=method)
-        backend = get_backend(resolved)
-        if isinstance(backend, BatchedBackend):
-            seed_block = self._warm_blocks.get(n) if self.warm_start else None
-            problems = []
-            for operand, _, t_eff in validated:
-                problem, _ = self._problem(operand, t_eff, want_vectors, False)
-                problems.append(problem.with_v0(seed_block))
-            results = backend.solve_many(
-                problems,
-                max_workers=self.max_workers,
-                share_seed=self.warm_start,
-            )
-            out = []
-            for index, result in enumerate(results):
-                warm_used = problems[index].v0 is not None or (
-                    self.warm_start and index > 0
-                )
-                # The seed result carries its Ritz block even for values-
-                # only requests; _finish keeps it as the warm block and
-                # the returned pair honors the caller's want_vectors.
-                # Attribute the solve to the batch path in the stats
-                # (the raw result names only the inner backend).
-                self._finish(
-                    result,
-                    warm_used,
-                    batched=True,
-                    label=f"batch[{result.backend}]",
-                )
-                out.append(
-                    (result.values, result.vectors if want_vectors else None)
-                )
-            return out
-        out = []
-        for operand, _, t_eff in validated:
-            pair = (
-                self.eigenpairs(operand, t_eff, method=method)
-                if want_vectors
-                else (self.eigenvalues(operand, t_eff, method=method), None)
-            )
-            out.append(pair)
-        return out

@@ -1,17 +1,22 @@
 """The eigensolver backend registry and the single dispatch policy.
 
 Every eigensolve in the repository routes through this registry: call
-sites name a backend (``"dense"``, ``"lanczos"``, ``"batch"``, or
-``"auto"``), and :func:`resolve_method` settles what actually runs for a
-given problem size.  Adding a solver is one :func:`register_backend`
-call; no call site changes.
+sites name a backend (``"dense"``, ``"lanczos"``, or ``"auto"``), and
+:func:`resolve_method` settles what actually runs for a given problem
+size ``n`` and pair count ``t``.  Adding a solver is one
+:func:`register_backend` call; no call site changes.
 
 Dispatch rules (single source of truth — callers that plan around the
 dispatch must use :func:`resolve_method` rather than re-deriving it):
 
-* ``"auto"`` picks ``dense`` at or below :data:`DENSE_CUTOFF`, else
-  ``lanczos``;
-* iterative methods fall back to ``dense`` when ARPACK's ``t < n - 1``
+* ``"auto"`` picks ``dense`` when ``n <= DENSE_SMALL_N``, or when
+  ``n <= DENSE_MAX_N`` and ``t`` is at least ``DENSE_T_PERCENT`` percent
+  of ``n``; else ``lanczos``.  The thresholds are the measured crossover
+  between the two backends (DESIGN.md §7): Lanczos wins the warm
+  ``t = k + 1`` optimizer loop above a few hundred nodes, dense wins
+  once ``t`` is a sizeable share of ``n`` (the rank-128/256 embedding
+  solves);
+* ``lanczos`` falls back to ``dense`` when ARPACK's ``t < n - 1``
   requirement is violated.
 """
 
@@ -20,11 +25,15 @@ from __future__ import annotations
 from repro.solvers.base import EigenBackend
 from repro.utils.registry import Registry
 
-#: "auto" uses the exact dense solver at or below this many nodes.
-DENSE_CUTOFF = 600
+#: "auto" runs dense at or below this many nodes, whatever ``t`` is.
+DENSE_SMALL_N = 300
 
-#: methods that run an iterative solver (directly or via an inner backend).
-_ITERATIVE = ("lanczos", "batch")
+#: above it, "auto" runs dense once ``t`` reaches this percentage of ``n``
+#: (integer arithmetic, so the boundary is exact) ...
+DENSE_T_PERCENT = 7
+
+#: ... up to this many nodes (the dense operand is ``8 n^2`` bytes).
+DENSE_MAX_N = 8000
 
 _BACKENDS: Registry[EigenBackend] = Registry("eigensolver backend")
 register_backend = _BACKENDS.register
@@ -41,8 +50,9 @@ def resolve_method(n: int, t: int, method: str) -> str:
     alternatives.
     """
     if method == "auto":
-        method = "dense" if n <= DENSE_CUTOFF else "lanczos"
+        wide = n <= DENSE_MAX_N and 100 * t >= DENSE_T_PERCENT * n
+        method = "dense" if n <= DENSE_SMALL_N or wide else "lanczos"
     # eigsh requires t < n; fall back to the exact dense path otherwise.
-    if method in _ITERATIVE and t >= n - 1:
+    if method == "lanczos" and t >= n - 1:
         method = "dense"
     return method

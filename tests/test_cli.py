@@ -84,6 +84,11 @@ class TestClusterCommand:
             main(["cluster", "rm", "--shard-backend", "process"])
         assert excinfo.value.code == 2
 
+    def test_batch_eigen_backend_removed(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", "rm", "--eigen-backend", "batch"])
+        assert excinfo.value.code == 2
+
 
 class TestEmbedCommand:
     def test_embed_profile(self, tmp_path, capsys):

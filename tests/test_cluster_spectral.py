@@ -14,7 +14,10 @@ from repro.core.laplacian import normalized_laplacian
 from repro.core.pipeline import cluster_mvag
 from repro.core.sgla import SGLAConfig
 from repro.datasets.profiles import dataset_profile, load_profile_mvag
-from repro.evaluation.clustering_metrics import adjusted_rand_index, clustering_report
+from repro.evaluation.clustering_metrics import (
+    adjusted_rand_index,
+    clustering_report,
+)
 from repro.utils.errors import ValidationError
 
 # The package re-exports the function under the module's name.
@@ -79,9 +82,8 @@ class TestDiscretize:
         first start is the single-start search itself."""
         rng = np.random.default_rng(data_seed)
         centers = rng.standard_normal((k, k))
-        embedding = centers[rng.integers(k, size=n)] + 0.6 * rng.standard_normal(
-            (n, k)
-        )
+        noise = 0.6 * rng.standard_normal((n, k))
+        embedding = centers[rng.integers(k, size=n)] + noise
         labels = discretize(embedding, seed=seed)
         with mock.patch.object(discretize_module, "STARTS", 1):
             single = discretize(embedding, seed=seed)
@@ -106,13 +108,14 @@ class TestDiscretize:
         vectors = spectral_embedding_matrix(
             output.integration.laplacian, mvag.n_classes, seed=0
         )
+        def accuracy(labels):
+            return round(clustering_report(mvag.labels, labels)["acc"], 4)
+
         accuracies = set()
         for draw in range(30):
             noise = np.random.default_rng(draw).standard_normal(vectors.shape)
-            labels = discretize(vectors + 1e-14 * noise, seed=0)
-            accuracies.add(round(clustering_report(mvag.labels, labels)["acc"], 4))
-        expected = round(clustering_report(mvag.labels, output.labels)["acc"], 4)
-        assert accuracies == {expected}
+            accuracies.add(accuracy(discretize(vectors + 1e-14 * noise, seed=0)))
+        assert accuracies == {accuracy(output.labels)}
 
 
 class TestSpectralClustering:

@@ -345,7 +345,7 @@ class TestWarmStartDeterminism:
 
     def test_sgla_run_reproducible(self):
         mvag = generate_mvag(
-            n_nodes=700,  # above DENSE_CUTOFF: iterative + warm starts
+            n_nodes=700,  # resolves to Lanczos: iterative + warm starts
             n_clusters=3,
             graph_view_strengths=[0.8, 0.2],
             seed=96,

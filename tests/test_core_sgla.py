@@ -31,7 +31,7 @@ class TestConfig:
     def test_unknown_eigen_backend_rejected(self):
         """A name the solver registry does not know fails when the config
         is built, and the message lists what is available."""
-        for name in ("lobpcg", "nope"):
+        for name in ("lobpcg", "batch", "nope"):
             with pytest.raises(ValidationError) as info:
                 SGLAConfig(eigen_backend=name)
             for available in ("auto",) + available_backends():

@@ -389,7 +389,7 @@ class TestJobConfig:
         the job's config is built, before any dataset is loaded or
         cached."""
         cache = DatasetCache(capacity=8)
-        for name in ("lobpcg", "nope"):
+        for name in ("lobpcg", "batch", "nope"):
             job = {
                 "kind": "objective",
                 "profile": PROFILE,

@@ -311,31 +311,6 @@ class TestShardedObjectiveBatch:
             assert stats.solves == reference_stats.solves
             assert stats.matvecs == reference_stats.matvecs
 
-    def test_matches_threaded_batch_backend(self, stack):
-        """The scheme is the ``batch`` backend's, at process level."""
-        rows = np.array([
-            [0.25, 0.25, 0.25, 0.25],
-            [0.6, 0.2, 0.1, 0.1],
-            [0.1, 0.2, 0.6, 0.1],
-        ])
-        batch_solver = SolverContext(method="batch", seed=0)
-        matrices = [
-            stack.with_data(row) for row in stack.combine_many(rows)
-        ]
-        reference = [
-            values
-            for values, _ in batch_solver.solve_many(
-                matrices, 4, want_vectors=False
-            )
-        ]
-        solver = SolverContext(method="lanczos", seed=0)
-        with _forced(2) as shard:
-            values = shard_objective_batch(
-                stack, rows, 4, "lanczos", solver, shard
-            )
-        for ours, theirs in zip(values, reference):
-            assert np.array_equal(ours, theirs)
-
     def test_dense_method_matches_in_process(self, stack):
         # The in-process dense path computes values only (eigvals_only
         # eigh); the sharded seed solve must not request Ritz vectors
@@ -364,8 +339,7 @@ class TestShardedObjectiveBatch:
 
     def test_warm_start_disabled_solves_cold(self, stack):
         """warm_start=False must mean cold solves under sharding too —
-        bitwise equal to the in-process cold chain, mirroring the batch
-        backend's ``share_seed=warm_start`` rule (no silent re-seeding
+        bitwise equal to the in-process cold chain (no silent re-seeding
         that would corrupt warm-start ablations)."""
         rows = np.array([
             [0.25, 0.25, 0.25, 0.25],

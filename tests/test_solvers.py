@@ -14,7 +14,6 @@ from repro.core.objective import SpectralObjective
 from repro.datasets.generator import generate_mvag
 from repro.datasets.running_example import running_example_mvag
 from repro.solvers import (
-    BatchedBackend,
     EigenBackend,
     EigenProblem,
     EigenResult,
@@ -28,7 +27,7 @@ from repro.solvers import (
     unregister_backend,
 )
 
-ALL_BACKENDS = ("dense", "lanczos", "batch")
+ALL_BACKENDS = ("dense", "lanczos")
 
 
 def running_example_laplacian(weights=(0.6, 0.4)):
@@ -135,112 +134,29 @@ class TestDispatchPolicy:
     def test_near_full_spectrum_falls_back_dense(self):
         assert resolve_method(6, 5, "lanczos") == "dense"
 
-
-class TestBatchBackend:
-    def _matrices(self, count=4):
-        _, laplacians = generated_laplacian()
-        rng = np.random.default_rng(0)
-        base = np.array([0.5, 0.3, 0.2])
-        matrices = []
-        for _ in range(count):
-            delta = rng.normal(scale=0.02, size=3)
-            weights = np.clip(base + delta, 0.05, None)
-            weights /= weights.sum()
-            matrices.append(aggregate_laplacians(laplacians, weights))
-        return matrices
-
-    def _problems(self, matrices, t=4):
-        return [EigenProblem(m, t, seed=0) for m in matrices]
-
-    def test_threaded_matches_sequential_exactly(self):
-        """Thread scheduling never changes results: the threaded batch is
-        bitwise identical to the max_workers=1 batch."""
-        matrices = self._matrices()
-        backend = BatchedBackend()
-        threaded = backend.solve_many(self._problems(matrices), max_workers=4)
-        sequential = backend.solve_many(self._problems(matrices), max_workers=1)
-        for a, b in zip(threaded, sequential):
-            np.testing.assert_array_equal(a.values, b.values)
-            np.testing.assert_array_equal(a.vectors, b.vectors)
-
-    def test_batch_rerun_deterministic(self):
-        matrices = self._matrices()
-        backend = BatchedBackend()
-        first = backend.solve_many(self._problems(matrices))
-        second = backend.solve_many(self._problems(matrices))
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a.values, b.values)
-
-    def test_batch_matches_per_problem_solves(self):
-        """Batch results agree with independent sequential solves to well
-        inside solver tolerance."""
-        matrices = self._matrices()
-        backend = BatchedBackend()
-        batched = backend.solve_many(self._problems(matrices))
-        for matrix, result in zip(matrices, batched):
-            values, _ = bottom_eigenpairs(matrix, 4, method="lanczos", seed=0)
-            np.testing.assert_allclose(result.values, values, atol=1e-8)
-
-    def test_seeding_reduces_follower_matvecs(self):
-        """Followers start from the seed problem's Ritz block and converge
-        in fewer operator applications than a cold solve."""
-        matrices = self._matrices()
-        backend = BatchedBackend()
-        results = backend.solve_many(self._problems(matrices))
-        cold = [
-            get_backend("lanczos").solve(problem)
-            for problem in self._problems(matrices)
-        ]
-        batched_followers = sum(r.matvecs for r in results[1:])
-        cold_followers = sum(r.matvecs for r in cold[1:])
-        assert batched_followers < cold_followers
-
-    def test_single_problem_delegates_to_inner(self):
-        matrices = self._matrices(count=1)
-        result = BatchedBackend().solve(self._problems(matrices)[0])
-        assert result.backend == "lanczos"
-
-    def test_empty_batch(self):
-        assert BatchedBackend().solve_many([]) == []
-
-    def test_context_solve_many_routes_to_batch(self):
-        matrices = self._matrices()
-        context = SolverContext(method="batch", seed=0)
-        solved = context.solve_many(matrices, 4)
-        assert len(solved) == len(matrices)
-        assert context.stats.batched_solves == len(matrices)
-        # Stats attribute the solves to the batch path, not just the
-        # inner backend, so --eigen-backend batch is visible in summaries.
-        assert context.stats.by_backend.get("batch[lanczos]") == len(matrices)
-        for matrix, (values, _) in zip(matrices, solved):
-            reference = bottom_eigenvalues(matrix, 4, method="dense")
-            np.testing.assert_allclose(values, reference, atol=1e-8)
-
-    def test_share_seed_false_disables_seeding(self):
-        """warm_start=False ablations must get genuinely cold followers."""
-        matrices = self._matrices()
-        backend = BatchedBackend()
-        seeded = backend.solve_many(self._problems(matrices))
-        cold = backend.solve_many(self._problems(matrices), share_seed=False)
-        per_problem = [
-            get_backend("lanczos").solve(problem)
-            for problem in self._problems(matrices)
-        ]
-        for a, b in zip(cold, per_problem):
-            np.testing.assert_array_equal(a.values, b.values)
-            assert a.matvecs == b.matvecs
-        assert sum(r.matvecs for r in cold) > sum(r.matvecs for r in seeded)
-
-        context = SolverContext(method="batch", seed=0, warm_start=False)
-        context.solve_many(matrices, 4)
-        assert context.stats.warm_solves == 0
-
-    def test_values_only_batch_retains_seed_warm_block(self):
-        matrices = self._matrices()
-        context = SolverContext(method="batch", seed=0)
-        solved = context.solve_many(matrices, 4, want_vectors=False)
-        assert all(vectors is None for _, vectors in solved)
-        assert context.warm_block(matrices[0].shape[0]) is not None
+    @pytest.mark.parametrize(
+        "n, t, expected",
+        [
+            # Small problems: dense whatever t is.
+            (300, 4, "dense"),
+            # Above 300 nodes the warm t = k + 1 loop runs on Lanczos.
+            (301, 4, "lanczos"),
+            (500, 6, "lanczos"),
+            # Large t: dense once t >= 7% of n, up to 8000 nodes.
+            (1500, 104, "lanczos"),
+            (1500, 105, "dense"),
+            (1500, 128, "dense"),
+            (3000, 128, "lanczos"),
+            (3000, 256, "dense"),
+            (8000, 560, "dense"),
+            (8001, 561, "lanczos"),
+            # ARPACK's t < n - 1: dense, above the dense cap too.
+            (20000, 19999, "dense"),
+        ],
+    )
+    def test_auto_rule_boundaries(self, n, t, expected):
+        """auto: dense iff n <= 300, or n <= 8000 and t >= 7% of n."""
+        assert resolve_method(n, t, "auto") == expected
 
 
 class TestSolverContext:
@@ -307,25 +223,3 @@ class TestSolverContext:
         objective(weights)  # cache hit, no second eigensolve
         assert context.stats.solves == 1
         assert context.stats.saved == 1
-
-    def test_objective_batch_backend_end_to_end(self):
-        """The objective's batched evaluation path works on the batch
-        backend and matches the dense reference."""
-        _, laplacians = generated_laplacian(n=700)
-        batch_objective = SpectralObjective(
-            laplacians, k=3, solver=SolverContext(method="batch", seed=0)
-        )
-        dense_objective = SpectralObjective(
-            laplacians, k=3, eigen_method="dense", seed=0
-        )
-        points = [
-            np.array([0.5, 0.3, 0.2]),
-            np.array([0.45, 0.35, 0.2]),
-            np.array([0.55, 0.25, 0.2]),
-        ]
-        batch_components, n_solves = batch_objective.evaluate_batch(points)
-        assert n_solves == len(points)
-        for point, component in zip(points, batch_components):
-            assert component.value == pytest.approx(
-                dense_objective(point), abs=1e-8
-            )

@@ -248,12 +248,16 @@ class TestSGLALadder:
 
     @pytest.mark.parametrize("solver_cls", [SGLA, SGLAPlus])
     def test_dense_path_unchanged_by_ladder(self, solver_cls):
-        """Dense solves are exact at any tolerance, so on a dense-sized
-        profile the ladder re-solves nothing: the same solve count, the
-        same w* and h(w*) bit for bit, and no coarse solves."""
+        """Dense solves are exact at any tolerance, so on the dense path
+        the ladder re-solves nothing: the same solve count, the same w*
+        and h(w*) bit for bit, and no coarse solves."""
         mvag = load_profile_mvag("dblp_small", seed=0)
-        fixed = solver_cls(SGLAConfig(seed=0, tol_ladder=False)).fit(mvag)
-        ladder = solver_cls(SGLAConfig(seed=0, tol_ladder=True)).fit(mvag)
+        fixed = solver_cls(
+            SGLAConfig(seed=0, eigen_backend="dense", tol_ladder=False)
+        ).fit(mvag)
+        ladder = solver_cls(
+            SGLAConfig(seed=0, eigen_backend="dense", tol_ladder=True)
+        ).fit(mvag)
         solves = fixed.solver_stats.solves
         assert ladder.solver_stats.by_backend == {"dense": solves}
         assert ladder.solver_stats.solves == solves
