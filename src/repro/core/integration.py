@@ -1,13 +1,13 @@
 """High-level integration front end and the Fig. 11 alternative integrators.
 
-:func:`integrate` turns an MVAG into a single integrated Laplacian using one
-of six strategies:
+:func:`integrate` turns an MVAG, or its prebuilt view Laplacians, into a
+single integrated Laplacian using one of six strategies:
 
 * ``"sgla"`` / ``"sgla+"`` — the paper's solvers (full objective);
 * ``"eigengap"`` / ``"connectivity"`` — single-objective ablations;
 * ``"equal"`` — uniform view weights (Equal-w in Fig. 11);
 * ``"graph-agg"`` — normalized Laplacian of the plain adjacency sum
-  (Graph-Agg in Fig. 11).
+  (Graph-Agg in Fig. 11); the one strategy that needs the MVAG itself.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from repro.core.laplacian import (
     aggregate_laplacians,
     normalized_laplacian,
 )
-from repro.core.mvag import MVAG
+from repro.core.mvag import is_mvag_like
 from repro.core.objective import SpectralObjective, objective_variant
-from repro.core.sgla import SGLA, SGLAConfig, prepare_laplacians
+from repro.core.sgla import SGLA, InputLike, SGLAConfig, prepare_laplacians
 from repro.core.sgla_plus import SGLAPlus
 from repro.neighbors import NeighborStats
 from repro.optim.driver import minimize_on_simplex
@@ -63,7 +63,7 @@ class IntegrationResult:
 
 
 def integrate(
-    mvag: MVAG,
+    data: InputLike,
     k: Optional[int] = None,
     method: str = "sgla+",
     config: Optional[SGLAConfig] = None,
@@ -71,14 +71,17 @@ def integrate(
     neighbor_stats: Optional[NeighborStats] = None,
     shard: Optional[ShardContext] = None,
 ) -> IntegrationResult:
-    """Integrate all views of ``mvag`` into one Laplacian.
+    """Integrate all views of ``data`` into one Laplacian.
 
     Parameters
     ----------
-    mvag:
-        The multi-view attributed graph.
+    data:
+        The multi-view attributed graph, or its prebuilt view Laplacians
+        (then every method that weighs the views by ``h(w)`` needs
+        ``k``, and ``"graph-agg"``, which sums raw adjacencies, raises
+        ``ValidationError``).
     k:
-        Number of clusters (defaults to label count).
+        Number of clusters (defaults to the MVAG's label count).
     method:
         One of :data:`INTEGRATION_METHODS`.
     config:
@@ -102,15 +105,20 @@ def integrate(
         raise ValidationError(
             f"method must be one of {INTEGRATION_METHODS}, got {method!r}"
         )
+    if method == "graph-agg" and not is_mvag_like(data):
+        raise ValidationError(
+            "graph-agg sums the raw view adjacencies, so it needs the "
+            "MVAG, not its view Laplacians"
+        )
     config = config or SGLAConfig()
     with shard_scope(config, shard) as scoped:
         return _integrate(
-            mvag, k, method, config, solver, neighbor_stats, scoped
+            data, k, method, config, solver, neighbor_stats, scoped
         )
 
 
 def _integrate(
-    mvag: MVAG,
+    data: InputLike,
     k: Optional[int],
     method: str,
     config: SGLAConfig,
@@ -124,7 +132,7 @@ def _integrate(
 
     if method == "sgla":
         result = SGLA(config).fit(
-            mvag, k=k, solver=solver, neighbor_stats=neighbor_stats,
+            data, k=k, solver=solver, neighbor_stats=neighbor_stats,
             shard=shard,
         )
         return IntegrationResult(
@@ -140,7 +148,7 @@ def _integrate(
         )
     if method == "sgla+":
         result = SGLAPlus(config).fit(
-            mvag, k=k, solver=solver, neighbor_stats=neighbor_stats,
+            data, k=k, solver=solver, neighbor_stats=neighbor_stats,
             shard=shard,
         )
         return IntegrationResult(
@@ -156,11 +164,13 @@ def _integrate(
         )
     if method in ("eigengap", "connectivity"):
         return _single_objective(
-            mvag, k, method, config, start, solver, neighbor_stats, shard
+            data, k, method, config, start, solver, neighbor_stats, shard
         )
     if method == "equal":
+        # Equal weights ignore k; any count lets an unlabeled MVAG or a
+        # bare Laplacian list through prepare_laplacians' check.
         laplacians, _ = prepare_laplacians(
-            mvag, k or mvag.n_classes or 2, config,
+            data, k or 2, config,
             neighbor_stats=neighbor_stats, shard=shard,
         )
         weights = np.full(len(laplacians), 1.0 / len(laplacians))
@@ -174,7 +184,7 @@ def _integrate(
         )
     # graph-agg: sum raw adjacencies, then take one normalized Laplacian.
     summed = aggregate_adjacencies(
-        mvag,
+        data,
         knn_k=config.knn_k,
         knn_backend=config.knn_backend,
         knn_params=config.knn_params,
@@ -191,7 +201,7 @@ def _integrate(
 
 
 def _single_objective(
-    mvag: MVAG,
+    data: InputLike,
     k: Optional[int],
     variant: str,
     config: SGLAConfig,
@@ -202,7 +212,7 @@ def _single_objective(
 ) -> IntegrationResult:
     """Optimize the eigengap-only or connectivity-only objective (Fig. 11)."""
     laplacians, k = prepare_laplacians(
-        mvag, k, config, neighbor_stats=neighbor_stats, shard=shard
+        data, k, config, neighbor_stats=neighbor_stats, shard=shard
     )
     solver = solver or config.make_solver()
     objective = SpectralObjective(

@@ -7,6 +7,10 @@ These are the two paper workflows (Section III-B):
 * embedding — integrate into ``L`` and run a matrix-factorization network
   embedding (NetMF on small/medium graphs, the SketchNE-style method at
   scale, mirroring the paper's dataset-dependent choice).
+
+Both take an MVAG or its prebuilt view Laplacians, as
+:meth:`repro.core.sgla.SGLA.fit` does: once the views are Laplacians,
+nothing downstream reads the MVAG again.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ import numpy as np
 
 from repro.cluster.spectral import spectral_clustering
 from repro.core.integration import IntegrationResult, integrate
-from repro.core.mvag import MVAG
-from repro.core.sgla import SGLAConfig
+from repro.core.mvag import is_mvag_like
+from repro.core.sgla import InputLike, SGLAConfig
 from repro.embedding.netmf import _DENSE_NODE_LIMIT, netmf_from_laplacian
 from repro.embedding.sketchne import sketchne_embedding
 from repro.neighbors import NeighborStats
@@ -45,8 +49,19 @@ class EmbedOutput:
     backend: str  # "netmf" or "sketchne"
 
 
+def _cluster_count(data: InputLike, k: Optional[int]) -> int:
+    """``k``, else the MVAG's label count; a Laplacian list needs ``k``."""
+    if k is None and is_mvag_like(data):
+        k = data.n_classes
+    if k is None:
+        raise ValidationError(
+            "k must be given for an unlabeled MVAG or a Laplacian list"
+        )
+    return k
+
+
 def cluster_mvag(
-    mvag: MVAG,
+    data: InputLike,
     k: Optional[int] = None,
     method: str = "sgla+",
     config: Optional[SGLAConfig] = None,
@@ -60,10 +75,12 @@ def cluster_mvag(
 
     Parameters
     ----------
-    mvag:
-        The multi-view attributed graph.
+    data:
+        The multi-view attributed graph, or its prebuilt view Laplacians
+        (then ``k`` is required, and ``method="graph-agg"``, which sums
+        raw adjacencies, is refused).
     k:
-        Cluster count (defaults to the label count).
+        Cluster count (defaults to the MVAG's label count).
     method:
         Integration strategy (see :data:`repro.core.integration.
         INTEGRATION_METHODS`).
@@ -84,13 +101,10 @@ def cluster_mvag(
         closed before returning), so one persistent process pool serves
         the whole pipeline invocation.
     """
-    if k is None:
-        k = mvag.n_classes
-    if k is None:
-        raise ValidationError("k must be given for an unlabeled MVAG")
+    k = _cluster_count(data, k)
     with shard_scope(config or SGLAConfig(), shard) as scoped:
         integration = integrate(
-            mvag, k=k, method=method, config=config, solver=solver,
+            data, k=k, method=method, config=config, solver=solver,
             neighbor_stats=neighbor_stats, shard=scoped,
         )
     labels = spectral_clustering(
@@ -100,7 +114,7 @@ def cluster_mvag(
 
 
 def embed_mvag(
-    mvag: MVAG,
+    data: InputLike,
     k: Optional[int] = None,
     dim: int = 64,
     method: str = "sgla+",
@@ -115,11 +129,15 @@ def embed_mvag(
 
     Parameters
     ----------
+    data:
+        The multi-view attributed graph, or its prebuilt view Laplacians
+        (then ``k`` is required; see :func:`cluster_mvag`).
     dim:
         Embedding dimensionality (the paper fixes 64).
     backend:
         ``"netmf"``, ``"sketchne"``, or ``"auto"`` (NetMF when the dense
-        NetMF matrix fits, SketchNE-style otherwise — the paper's policy).
+        NetMF matrix over the integrated Laplacian's n nodes fits,
+        SketchNE-style otherwise — the paper's policy).
     solver:
         Optional shared :class:`repro.solvers.SolverContext` used by both
         the integration and the embedding eigensolve.
@@ -131,19 +149,17 @@ def embed_mvag(
         §10); built from ``config.shard_workers`` when omitted (and then
         closed before returning).
     """
-    if k is None:
-        k = mvag.n_classes
-    if k is None:
-        raise ValidationError("k must be given for an unlabeled MVAG")
+    k = _cluster_count(data, k)
     with shard_scope(config or SGLAConfig(), shard) as scoped:
         integration = integrate(
-            mvag, k=k, method=method, config=config, solver=solver,
+            data, k=k, method=method, config=config, solver=solver,
             neighbor_stats=neighbor_stats, shard=scoped,
         )
     laplacian = integration.laplacian
 
     if backend == "auto":
-        backend = "netmf" if mvag.n_nodes <= min(_DENSE_NODE_LIMIT, 8000) else "sketchne"
+        n = laplacian.shape[0]
+        backend = "netmf" if n <= min(_DENSE_NODE_LIMIT, 8000) else "sketchne"
     if backend == "netmf":
         embedding = netmf_from_laplacian(laplacian, dim=dim, seed=seed, solver=solver)
     elif backend == "sketchne":

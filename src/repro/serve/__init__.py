@@ -9,7 +9,14 @@ per-worker :class:`~repro.shard.ShardContext`\\ s.  The robustness core:
 * **admission control** (:class:`~repro.serve.queue.AdmissionQueue`) —
   a bounded queue by request count *and* in-flight payload bytes; past
   either limit new requests are shed with a fast, structured
-  :class:`~repro.utils.errors.ServerOverloaded` instead of OOMing;
+  :class:`~repro.utils.errors.ServerOverloaded` instead of OOMing; a
+  job with malformed fields is refused with a ``validation`` reply
+  before it is admitted (:func:`~repro.serve.jobs.check_job`);
+* **prepared datasets** (:class:`~repro.serve.jobs.DatasetCache`) —
+  every job kind runs from a dataset's cached view Laplacians, keyed on
+  profile, seed and kNN settings and bounded by a byte budget alone, so
+  objective, cluster and embed traffic on one dataset builds its kNN
+  graphs once;
 * **per-request deadlines** — an expired queued request never starts; a
   running one has its remaining budget propagated into the
   :class:`~repro.shard.resilience.FailureDirector`'s per-attempt

@@ -113,11 +113,11 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--drain-grace", type=float, default=30.0,
                         help="seconds a SIGTERM drain waits for in-flight "
                              "work")
-    parser.add_argument("--max-datasets", type=int, default=8,
-                        help="LRU capacity of the prepared-dataset cache")
     parser.add_argument("--max-dataset-mb", type=float, default=256.0,
-                        help="byte budget (MB) of the prepared-dataset "
-                             "cache; LRU entries are evicted past it")
+                        help="byte budget (MB), the only bound, of the "
+                             "prepared-dataset cache (each dataset's "
+                             "view Laplacians); LRU entries are evicted "
+                             "past it")
     parser.add_argument("--max-results-mb", type=float, default=64.0,
                         help="byte budget (MB) of the deterministic "
                              "result cache; identical repeat requests "
@@ -160,7 +160,6 @@ def main(argv: Optional[list] = None) -> int:
             tenant_weights=_parse_weights(args.tenant_weight),
             default_deadline=args.default_deadline,
             drain_grace=args.drain_grace,
-            max_datasets=args.max_datasets,
             max_dataset_mb=args.max_dataset_mb,
             result_cache=not args.no_result_cache,
             max_results_mb=args.max_results_mb,

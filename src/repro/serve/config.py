@@ -52,13 +52,12 @@ class ServeConfig:
     drain_grace:
         How long a SIGTERM-triggered drain waits for in-flight work
         before forcing exit.
-    max_datasets:
-        Entry-count LRU capacity of the per-daemon prepared-dataset
-        cache (profile MVAGs and their view Laplacians).
     max_dataset_mb:
-        Byte budget of that cache: summed payload megabytes across both
-        layers.  Inserting past the budget evicts least-recently-used
-        entries until the cache fits (eviction counters surface on the
+        Byte budget, the only bound, of the per-daemon prepared-dataset
+        cache (:class:`~repro.serve.jobs.DatasetCache`: each dataset's
+        view Laplacians): summed payload megabytes.  Inserting past the
+        budget evicts least-recently-used entries until the cache fits,
+        never the entry just inserted (eviction counters surface on the
         ``serve:`` stats line and in the health payload).
     result_cache:
         Whether to keep the deterministic result cache
@@ -87,7 +86,6 @@ class ServeConfig:
     tenant_weights: Optional[Dict[str, float]] = None
     default_deadline: Optional[float] = None
     drain_grace: float = 30.0
-    max_datasets: int = 8
     max_dataset_mb: float = 256.0
     result_cache: bool = True
     max_results_mb: float = 64.0
@@ -136,10 +134,6 @@ class ServeConfig:
         if self.drain_grace < 0:
             raise ValidationError(
                 f"drain_grace must be >= 0, got {self.drain_grace}"
-            )
-        if self.max_datasets < 1:
-            raise ValidationError(
-                f"max_datasets must be >= 1, got {self.max_datasets}"
             )
         if self.max_dataset_mb <= 0:
             raise ValidationError(

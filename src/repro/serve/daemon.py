@@ -47,6 +47,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.jobs import (
     DatasetCache,
     batch_key,
+    check_job,
     run_cluster,
     run_embed,
     run_objective_group,
@@ -55,7 +56,7 @@ from repro.serve.protocol import FrameServer, error_reply
 from repro.serve.queue import AdmissionQueue, RequestEntry
 from repro.serve.results import ResultCache, result_key
 from repro.serve.stats import ServeStats
-from repro.utils.errors import ServeError
+from repro.utils.errors import ServeError, ValidationError
 
 #: slice used when a connection thread waits on an entry — bounds how
 #: late a deadline reply or a disconnect cleanup can be.
@@ -111,10 +112,7 @@ class ServeDaemon(FrameServer):
             tenant_burst=self.config.tenant_burst,
             priority_aging=self.config.priority_aging,
         )
-        self.datasets = DatasetCache(
-            self.config.max_datasets,
-            max_bytes=self.config.max_dataset_bytes,
-        )
+        self.datasets = DatasetCache(max_bytes=self.config.max_dataset_bytes)
         #: deterministic result cache (None when disabled): identical
         #: repeat requests are answered from memory, bit-identically.
         self.results: Optional[ResultCache] = (
@@ -243,6 +241,10 @@ class ServeDaemon(FrameServer):
         self, sock: socket.socket, message: Dict[str, Any]
     ) -> Optional[Dict[str, Any]]:
         job = message["job"]
+        try:
+            check_job(job)
+        except ValidationError as error:
+            return error_reply(error)
         deadline = message.get("deadline")
         if deadline is None:
             deadline = self.config.default_deadline

@@ -1,9 +1,19 @@
 """Job execution for the serving daemon: datasets, runners, batching.
 
-A job names a dataset **profile** (the daemon generates and caches it)
-plus the pipeline parameters; the daemon never unpickles callables from
-clients — the job vocabulary is the closed set ``cluster`` / ``embed``
-/ ``objective`` from :mod:`repro.serve.protocol`.
+A job names a dataset **profile** plus the pipeline parameters; the
+daemon never unpickles callables from clients — the job vocabulary is
+the closed set ``cluster`` / ``embed`` / ``objective`` from
+:mod:`repro.serve.protocol`, and :func:`check_job` refuses malformed
+fields before a request is admitted.
+
+Every job kind runs from one prepared form of its dataset: the view
+Laplacians that :class:`DatasetCache` builds once per profile, seed and
+kNN setting.  SGLA and SGLA+ never read the MVAG again once its views
+are Laplacians, so cluster and embed jobs hand the cached list to
+:func:`~repro.core.pipeline.cluster_mvag` /
+:func:`~repro.core.pipeline.embed_mvag`, as objective jobs hand it to
+:class:`~repro.core.objective.SpectralObjective`.  ``graph-agg``, which
+sums raw adjacencies, is the one method that loads the MVAG (uncached).
 
 Determinism contract (the multi-tenant isolation anchor): objective
 evaluations run **cold** — a fresh
@@ -23,7 +33,7 @@ direct in-process caller does — the same bit-identity argument applies.
 
 from __future__ import annotations
 
-import itertools
+import numbers
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
@@ -80,14 +90,13 @@ def batch_key(job: Dict[str, Any]) -> Optional[Tuple]:
 
 
 def payload_nbytes(obj, _seen: Optional[set] = None) -> int:
-    """Accounted in-memory payload bytes of a cached dataset object.
+    """Accounted in-memory payload bytes of a cached value.
 
-    Walks arrays (``.nbytes``), scipy sparse matrices (CSR/CSC buffer
-    triples, COO coordinate pairs), containers, and plain attribute
-    objects (the MVAG dataclasses).  Python object overhead is ignored
-    — the numeric buffers dominate a prepared dataset by orders of
-    magnitude, and an under-by-a-few-KB estimate errs on the side of
-    caching slightly less, never more.
+    Walks arrays (``.nbytes``), scipy CSR/CSC matrices (their buffer
+    triples) and containers.  Python object overhead is ignored — the
+    numeric buffers dominate a prepared dataset by orders of magnitude,
+    and an under-by-a-few-KB estimate errs on the side of caching
+    slightly less, never more.
     """
     if _seen is None:
         _seen = set()
@@ -102,209 +111,126 @@ def payload_nbytes(obj, _seen: Optional[set] = None) -> int:
         return payload_nbytes(
             (obj.data, obj.indices, obj.indptr), _seen
         )
-    if hasattr(obj, "row") and hasattr(obj, "col"):  # COO
-        return payload_nbytes((obj.data, obj.row, obj.col), _seen)
     if isinstance(obj, dict):
         return sum(payload_nbytes(value, _seen) for value in obj.values())
     if isinstance(obj, (list, tuple, set, frozenset)):
         return sum(payload_nbytes(item, _seen) for item in obj)
-    if hasattr(obj, "__dict__"):
-        return payload_nbytes(vars(obj), _seen)
     return 0
 
 
 class DatasetCache:
-    """Byte-budgeted LRU cache of prepared datasets, shared by workers.
+    """Byte-budgeted LRU of prepared datasets, shared by the workers.
 
-    Two layers, each bounded by ``capacity`` entries: generated MVAGs
-    keyed by ``(profile, seed)`` and prepared view-Laplacian lists keyed
-    by ``(profile, seed, k, config overrides)``.  Builds are serialized
-    **per key** via latches, not under the cache lock: concurrent first
-    requests for the same profile still build it once (followers wait
-    on the owner's latch), but a cold multi-second build never blocks
-    another tenant's cache *hit* on an unrelated key — the lock is held
-    only for dictionary bookkeeping.  A failed build clears its latch,
-    so one waiter retries as the new owner instead of every follower
-    inheriting the error forever.
+    An entry is what every job kind integrates: a profile dataset's view
+    Laplacians plus its class count, built by
+    :func:`~repro.core.sgla.prepare_laplacians`.  The Laplacians are a
+    pure function of the profile, the seed and the kNN settings, so the
+    key is ``(profile, seed, knn_k, knn_backend, sorted knn_params)``:
+    an objective job and a cluster job on one dataset share an entry
+    whatever their other config overrides.  Entries are shared
+    read-only by concurrent jobs; no path may modify them in place.
 
-    Hit/miss counters count one outcome per public lookup: an immediate
-    find or a value obtained by waiting out another thread's build is a
-    hit; becoming the build owner is a miss.  Internal lookups (the
-    MVAG resolved while building a Laplacian entry) are counter-neutral
-    — they are an implementation detail of the build, not client
-    traffic against the mvag layer.
+    Builds are serialized **per key** via latches, not under the cache
+    lock: concurrent first requests for one key still build it once
+    (followers wait on the owner's latch), but a cold build never
+    blocks another tenant's cache *hit* on an unrelated key — the lock
+    is held only for dictionary bookkeeping.  A failed build clears its
+    latch, so one waiter retries as the new owner instead of every
+    follower inheriting the error forever.  Each lookup counts once: an
+    immediate find or a value obtained by waiting out another thread's
+    build is a hit; becoming the build owner is a miss.
 
-    On top of the entry caps sits a **byte budget** (``max_bytes``)
-    shared across both layers: every entry's payload is accounted via
+    The **byte budget** (``max_bytes``, ``None`` = unbounded) is the
+    only bound: every entry's payload is accounted via
     :func:`payload_nbytes` at insertion, and inserting past the budget
-    evicts globally-least-recently-used entries (from whichever layer
-    holds them) until the cache fits.  The budget is enforced on these
-    accounted sizes rather than on RSS because ``ru_maxrss`` is a
-    process-lifetime high-water mark that eviction cannot lower; the
-    attached :class:`~repro.analysis.memory.MemoryTracker` samples that
-    RSS peak for the health snapshot so operators see both numbers.
-    Hit / miss / eviction counters surface on the ``serve:`` stats line.
+    evicts least-recently-used entries until the cache fits, never the
+    one just inserted (the request being served needs it; a single
+    over-budget dataset caches alone rather than failing).  The budget
+    is enforced on these accounted sizes rather than on RSS because
+    ``ru_maxrss`` is a process-lifetime high-water mark that eviction
+    cannot lower; the attached
+    :class:`~repro.analysis.memory.MemoryTracker` samples that RSS peak
+    for the health snapshot so operators see both numbers.  Hit / miss
+    / eviction counters surface on the ``serve:`` stats line.
     """
 
-    def __init__(
-        self, capacity: int = 8, max_bytes: Optional[int] = None
-    ) -> None:
-        self.capacity = int(capacity)
+    def __init__(self, max_bytes: Optional[int] = None) -> None:
         self.max_bytes = int(max_bytes) if max_bytes is not None else None
         self._lock = threading.Lock()
-        #: key -> (value, accounted nbytes, LRU stamp), oldest first.
-        self._mvags: "OrderedDict[Tuple, Tuple[Any, int, int]]" = (
+        #: key -> ((laplacians, class count), accounted nbytes), least
+        #: recently used first.
+        self._entries: "OrderedDict[Tuple, Tuple[Tuple[List, int], int]]" = (
             OrderedDict()
         )
-        self._laplacians: "OrderedDict[Tuple, Tuple[Any, int, int]]" = (
-            OrderedDict()
-        )
-        self._clock = itertools.count()
         self._memory = MemoryTracker(label="dataset-cache")
-        #: (layer tag, key) -> latch of an in-flight build; waiters
-        #: block on the latch instead of the cache lock.
-        self._building: Dict[Tuple[str, Tuple], threading.Event] = {}
+        #: key -> latch of an in-flight build; waiters block on the
+        #: latch instead of the cache lock.
+        self._building: Dict[Tuple, threading.Event] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.current_bytes = 0
 
-    def _lookup_locked(self, store: OrderedDict, key: Tuple):
-        """LRU-touching lookup; caller holds the lock and does counting."""
-        entry = store.get(key)
-        if entry is None:
-            return None
-        store[key] = (entry[0], entry[1], next(self._clock))
-        store.move_to_end(key)
-        return entry[0]
+    def laplacians(
+        self, profile: str, seed, config: SGLAConfig, shard=None
+    ) -> Tuple[List, int]:
+        """``(view Laplacians, class count)`` of a profile dataset.
 
-    def _get_or_build(
-        self,
-        layer: str,
-        store: OrderedDict,
-        key: Tuple,
-        builder,
-        count: bool = True,
-    ):
-        """Return ``store[key]``, building it outside the lock on a miss.
-
-        One thread per key owns the build (per-key latch); others wait
-        on the latch and re-check.  ``count=False`` makes the lookup
-        counter-neutral (internal resolutions during another build).
+        A miss generates the profile's MVAG and builds its views under
+        ``config``'s kNN settings, through ``shard`` when one is given.
         """
-        latch_key = (layer, key)
+        key = (
+            profile, seed, config.knn_k, config.knn_backend,
+            tuple(sorted((config.knn_params or {}).items())),
+        )
+        return self._get_or_build(key, lambda: prepare_laplacians(
+            load_profile_mvag(profile, seed=seed), None, config, shard=shard
+        ))
+
+    def _get_or_build(self, key: Tuple, build):
+        """The entry under ``key``, built outside the lock on a miss."""
         while True:
-            wait_on = None
             with self._lock:
-                value = self._lookup_locked(store, key)
-                if value is not None:
-                    if count:
-                        self.hits += 1
-                    return value
-                wait_on = self._building.get(latch_key)
+                entry = self._entries.get(key)
+                if entry is not None:
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    return entry[0]
+                wait_on = self._building.get(key)
                 if wait_on is None:
-                    self._building[latch_key] = threading.Event()
-                    if count:
-                        self.misses += 1
+                    self._building[key] = threading.Event()
+                    self.misses += 1
                     break  # this thread owns the build
             wait_on.wait()
             # Loop: usually the value is now cached (a hit); if the
             # build failed or the value was already evicted, this
             # thread becomes the new owner.
         try:
-            value = builder()
+            value = build()
         except BaseException:
             with self._lock:
-                latch = self._building.pop(latch_key, None)
-            if latch is not None:
-                latch.set()
+                latch = self._building.pop(key)
+            latch.set()
             raise
         with self._lock:
-            self._put(store, key, value)
-            latch = self._building.pop(latch_key, None)
-        if latch is not None:
-            latch.set()
+            self._put(key, value)
+            latch = self._building.pop(key)
+        latch.set()
         return value
 
-    def _evict(self, store: OrderedDict) -> None:
-        _, (_, nbytes, _) = store.popitem(last=False)
-        self.current_bytes -= nbytes
-        self.evictions += 1
-
-    def _oldest(self, store: OrderedDict, protect: Tuple):
-        """(stamp, key) of the store's LRU entry, skipping ``protect``."""
-        for key, (_, _, stamp) in store.items():
-            if key != protect:
-                return (stamp, key)
-        return None
-
-    def _put(self, store: OrderedDict, key: Tuple, value) -> None:
+    def _put(self, key: Tuple, value) -> None:
+        # Only the latch owner inserts a key, so ``key`` is new here.
         nbytes = payload_nbytes(value)
-        old = store.get(key)
-        if old is not None:
-            self.current_bytes -= old[1]
-        store[key] = (value, nbytes, next(self._clock))
-        store.move_to_end(key)
+        self._entries[key] = (value, nbytes)
         self.current_bytes += nbytes
-        while len(store) > self.capacity:
-            self._evict(store)
-        # Byte budget: evict the globally least-recently-used entry of
-        # either layer until the cache fits, never the one just
-        # inserted (the request being served needs it live; a single
-        # over-budget dataset caches alone rather than failing).
         while (
             self.max_bytes is not None
             and self.current_bytes > self.max_bytes
+            and len(self._entries) > 1
         ):
-            candidates = [
-                found
-                for other in (self._mvags, self._laplacians)
-                for found in [self._oldest(
-                    other, key if other is store else None
-                )]
-                if found is not None
-            ]
-            if not candidates:
-                break
-            _, victim = min(candidates)
-            for other in (self._mvags, self._laplacians):
-                if victim in other and not (
-                    other is store and victim == key
-                ):
-                    _, nbytes_out, _ = other.pop(victim)
-                    self.current_bytes -= nbytes_out
-                    self.evictions += 1
-                    break
-
-    def _mvag_builder(self, profile: str, seed):
-        return lambda: load_profile_mvag(profile, seed=seed)
-
-    def mvag(self, profile: str, seed=0, count: bool = True):
-        return self._get_or_build(
-            "mvag", self._mvags, (profile, seed),
-            self._mvag_builder(profile, seed), count=count,
-        )
-
-    def laplacians(
-        self,
-        profile: str,
-        seed,
-        k: Optional[int],
-        config: SGLAConfig,
-        overrides_key: Tuple,
-    ) -> Tuple[List, int]:
-        key = (profile, seed, k, overrides_key)
-
-        def build():
-            # The MVAG resolved here is part of *this* build, not a
-            # client lookup against the mvag layer: count=False keeps
-            # the hit/miss counters honest (one outcome per request).
-            mvag = self.mvag(profile, seed=seed, count=False)
-            return prepare_laplacians(mvag, k, config)
-
-        return self._get_or_build(
-            "laplacians", self._laplacians, key, build
-        )
+            _, (_, evicted) = self._entries.popitem(last=False)
+            self.current_bytes -= evicted
+            self.evictions += 1
 
     def snapshot(self) -> dict:
         """Cache counters for the health payload / ``serve:`` line."""
@@ -313,7 +239,7 @@ class DatasetCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "entries": len(self._mvags) + len(self._laplacians),
+                "entries": len(self._entries),
                 "building": len(self._building),
                 "bytes": self.current_bytes,
                 "max_bytes": self.max_bytes,
@@ -342,14 +268,79 @@ def _require(job: Dict[str, Any], field: str):
     return value
 
 
-def run_cluster(job: Dict[str, Any], cache: DatasetCache, shard) -> dict:
-    """One clustering request through the public pipeline entry point."""
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_job(job: Dict[str, Any]) -> None:
+    """Refuse a job whose fields have the wrong types.
+
+    The daemon runs this before it admits a request, so a malformed
+    field gets a ``validation`` reply and nothing is queued, instead of
+    an internal error from deep inside the batch key, the result key,
+    the dataset cache or the pipeline.  ``seed`` must be an int: a
+    ``None`` seed would generate a different dataset on every build.
+    Values are checked where they are used (an unknown profile, method
+    or config override is refused there).
+    """
+    kind = job.get("kind")
+    profile = _require(job, "profile")
+    if not isinstance(profile, str):
+        raise ValidationError(
+            f"profile must be a string, got {type(profile).__name__}"
+        )
+    config = job.get("config")
+    if config is not None and not (
+        isinstance(config, dict) and all(isinstance(n, str) for n in config)
+    ):
+        raise ValidationError(
+            f"config must be a dict keyed by field names, got {config!r}"
+        )
+    seed = job.get("seed", 0)
+    if not _is_int(seed):
+        raise ValidationError(f"seed must be an int, got {seed!r}")
+    k = job.get("k")
+    if k is not None and not _is_int(k):
+        raise ValidationError(f"k must be an int, got {k!r}")
+    if kind != "objective":
+        return
+    gamma = job.get("gamma", 0.5)
+    if not isinstance(gamma, numbers.Real) or isinstance(gamma, bool):
+        raise ValidationError(f"gamma must be a real number, got {gamma!r}")
+    weights = _require(job, "weights")
+    try:
+        weights = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError):
+        weights = None
+    if weights is None or weights.ndim != 1:
+        raise ValidationError(
+            "objective weights must be a 1-D sequence of numbers"
+        )
+
+
+def _integration_input(job: Dict[str, Any], cache: DatasetCache, shard):
+    """``(data, k, config)`` that a cluster or embed job integrates.
+
+    The data is the dataset's cached view Laplacians, and ``k`` the
+    job's value, else the dataset's class count.  ``graph-agg`` sums
+    raw adjacencies, so it alone loads the MVAG, uncached.
+    """
     profile = _require(job, "profile")
     config = job_config(job)
-    mvag = cache.mvag(profile, seed=job.get("seed", 0))
+    seed = job.get("seed", 0)
+    k = job.get("k")
+    if job.get("method", "sgla+") == "graph-agg":
+        return load_profile_mvag(profile, seed=seed), k, config
+    laplacians, n_classes = cache.laplacians(profile, seed, config, shard)
+    return laplacians, n_classes if k is None else k, config
+
+
+def run_cluster(job: Dict[str, Any], cache: DatasetCache, shard) -> dict:
+    """One clustering request through the public pipeline entry point."""
+    data, k, config = _integration_input(job, cache, shard)
     output = cluster_mvag(
-        mvag,
-        k=job.get("k"),
+        data,
+        k=k,
         method=job.get("method", "sgla+"),
         config=config,
         assign=job.get("assign", "discretize"),
@@ -368,12 +359,10 @@ def run_cluster(job: Dict[str, Any], cache: DatasetCache, shard) -> dict:
 
 def run_embed(job: Dict[str, Any], cache: DatasetCache, shard) -> dict:
     """One embedding request through the public pipeline entry point."""
-    profile = _require(job, "profile")
-    config = job_config(job)
-    mvag = cache.mvag(profile, seed=job.get("seed", 0))
+    data, k, config = _integration_input(job, cache, shard)
     output = embed_mvag(
-        mvag,
-        k=job.get("k"),
+        data,
+        k=k,
         dim=job.get("dim", 64),
         method=job.get("method", "sgla+"),
         config=config,
@@ -404,10 +393,10 @@ def run_objective_group(
     head = jobs[0]
     profile = _require(head, "profile")
     config = job_config(head)
-    overrides = tuple(sorted((head.get("config") or {}).items()))
-    laplacians, k = cache.laplacians(
-        profile, head.get("seed", 0), head.get("k"), config, overrides
+    laplacians, n_classes = cache.laplacians(
+        profile, head.get("seed", 0), config, shard
     )
+    k = head.get("k")
     solver = SolverContext(
         method=config.eigen_backend,
         seed=head.get("seed", 0),
@@ -415,7 +404,7 @@ def run_objective_group(
     )
     objective = SpectralObjective(
         laplacians,
-        k=k,
+        k=n_classes if k is None else int(k),
         gamma=head.get("gamma", 0.5),
         cache=False,
         seed=head.get("seed", 0),

@@ -50,11 +50,13 @@ def hash64(data: str) -> int:
 def route_key(job: Dict[str, Any]) -> str:
     """The placement key of a job: the dataset it touches.
 
-    ``profile@seed`` — exactly the identity the daemon-side
+    ``profile@seed`` — the dataset part of the key the daemon-side
     :class:`~repro.serve.jobs.DatasetCache` keys its entries on, so
-    ring placement and cache locality agree by construction.  Jobs
-    without a profile (not currently expressible through the protocol)
-    hash to a constant bucket rather than failing.
+    ring placement and cache locality agree by construction.  It leaves
+    out the kNN settings, so every kNN variant of a dataset also lands
+    on one daemon, as a separate cache entry there.  Jobs without a
+    profile (the daemon refuses them) hash to a constant bucket rather
+    than failing.
     """
     return f"{job.get('profile', '?')}@{job.get('seed', 0)}"
 

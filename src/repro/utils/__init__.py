@@ -1,4 +1,4 @@
-"""Shared utilities: seeded randomness, sparse-matrix helpers, timing.
+"""Shared utilities: seeded randomness and sparse-matrix helpers.
 
 These are the lowest-level building blocks of the reproduction; every other
 subpackage imports from here rather than duplicating validation or RNG
@@ -15,7 +15,6 @@ from repro.utils.sparse import (
     symmetrize,
     to_dense,
 )
-from repro.utils.timer import Timer, timed
 from repro.utils.validation import (
     check_finite,
     check_labels,
@@ -35,8 +34,6 @@ __all__ = [
     "row_normalize",
     "symmetrize",
     "to_dense",
-    "Timer",
-    "timed",
     "check_finite",
     "check_labels",
     "check_square",

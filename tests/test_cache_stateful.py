@@ -1,24 +1,31 @@
 """Stateful models of the serve tier's two byte-budgeted LRU caches.
 
-:class:`ResultCache` (one layer of computed results) and
-:class:`DatasetCache` (generated MVAGs plus prepared view Laplacians,
-under one shared byte budget) each get a hypothesis state machine that
-drives the public lookups with drawn keys and payload sizes — sizes
-over the budget included — against a plain ``OrderedDict`` LRU model.
-After every step the machines check the byte accounting, the entry
-caps, the budget, and that the hit / miss counters match the model.
+:class:`ResultCache` (computed results) and :class:`DatasetCache`
+(prepared view Laplacians, bounded by its byte budget alone) each get a
+hypothesis state machine that drives the public lookups with drawn keys
+and payload sizes — sizes over the budget included — against a plain
+``OrderedDict`` LRU model.  After every step the machines check the
+byte accounting, the caps, the budget, and that the hit / miss counters
+match the model.  A third test runs drawn schedules of dataset lookups
+from four threads at once, with builds that race on one key, fail, or
+overflow the budget.
 """
 
 from __future__ import annotations
 
+import contextlib
+import sys
+import threading
+import time
 from collections import OrderedDict
 
 import numpy as np
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import repro.serve.jobs as jobs
+from repro.core.sgla import SGLAConfig
 from repro.serve.jobs import DatasetCache, payload_nbytes
 from repro.serve.results import ResultCache
 
@@ -106,129 +113,102 @@ TestResultCacheMachine.settings = settings(
 )
 
 
-class _StubDatasetCache(DatasetCache):
-    """Builds MVAGs of a size the machine sets, instead of profiles."""
+@contextlib.contextmanager
+def stub_builds(prepare):
+    """Route :class:`DatasetCache` builds through ``prepare(profile,
+    seed, config)`` instead of generating and preparing a profile."""
+    saved = jobs.load_profile_mvag, jobs.prepare_laplacians
+    jobs.load_profile_mvag = lambda profile, seed=0: (profile, seed)
+    jobs.prepare_laplacians = (
+        lambda mvag, k, config, shard=None: prepare(*mvag, config)
+    )
+    try:
+        yield
+    finally:
+        jobs.load_profile_mvag, jobs.prepare_laplacians = saved
 
-    next_size = 0
 
-    def _mvag_builder(self, profile, seed):
-        return lambda: _payload(self.next_size)
+def _dataset_key(profile, seed, config):
+    return (profile, seed, config.knn_k, config.knn_backend, ())
 
 
 class DatasetCacheMachine(RuleBasedStateMachine):
-    """``mvag`` / ``laplacians`` with stub builders of drawn sizes.
+    """``laplacians`` lookups with stub builds of drawn sizes.
 
-    The model is one global LRU order over ``(layer, key)`` pairs: a
-    layer over ``CAPACITY`` entries drops its own oldest, and past the
-    byte budget the globally oldest entry goes, never the one just
-    inserted.  A Laplacian build resolves its MVAG through the mvag
-    layer without counting that lookup.
+    The model is one LRU order over the dataset keys: past the byte
+    budget the oldest entry goes, never the one just inserted.  A build
+    that fails counts its miss and caches nothing.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self.cache = _StubDatasetCache(capacity=CAPACITY, max_bytes=MAX_BYTES)
-        self.lap_size = 0
-        self._prepare = jobs.prepare_laplacians
-        jobs.prepare_laplacians = lambda mvag, k, config: (
-            _payload(self.lap_size), k
-        )
-        #: (layer, key) -> accounted size, least recently used first.
+        self.cache = DatasetCache(max_bytes=MAX_BYTES)
+        self.size = 0
+        self.fail = False
+        self._stub = stub_builds(self._prepare)
+        self._stub.__enter__()
+        #: key -> accounted size, least recently used first.
         self.model: "OrderedDict[tuple, int]" = OrderedDict()
         self.hits = self.misses = 0
-        self.newest = None
+
+    def _prepare(self, profile, seed, config):
+        if self.fail:
+            raise RuntimeError("stub build failed")
+        return _payload(self.size), 3
 
     def teardown(self) -> None:
-        jobs.prepare_laplacians = self._prepare
-
-    def _insert(self, entry, size):
-        self.model[entry] = size
-        self.newest = entry
-        layer = entry[0]
-        while sum(1 for name, _ in self.model if name == layer) > CAPACITY:
-            oldest = next(e for e in self.model if e[0] == layer)
-            del self.model[oldest]
-        while sum(self.model.values()) > MAX_BYTES:
-            victim = next((e for e in self.model if e != entry), None)
-            if victim is None:
-                break
-            del self.model[victim]
-
-    def _touch_or_insert(self, entry, size) -> bool:
-        """LRU-touch ``entry`` and return True, or insert it at ``size``."""
-        if entry in self.model:
-            self.model.move_to_end(entry)
-            return True
-        self._insert(entry, size)
-        return False
+        self._stub.__exit__(None, None, None)
 
     @rule(
         profile=st.sampled_from(["p", "q", "r"]),
         seed=st.integers(0, 1),
+        knn_k=st.sampled_from([5, 10]),
         size=SIZES,
+        fail=st.booleans(),
     )
-    def mvag(self, profile, seed, size):
-        self.cache.next_size = size
-        value = self.cache.mvag(profile, seed=seed)
-        entry = ("mvag", (profile, seed))
-        hit = self._touch_or_insert(entry, size)
-        self.hits += hit
-        self.misses += not hit
-        assert value.nbytes == self.model[entry]
-
-    @rule(
-        profile=st.sampled_from(["p", "q", "r"]),
-        seed=st.integers(0, 1),
-        k=st.sampled_from([2, 3]),
-        mvag_size=SIZES,
-        lap_size=SIZES,
-    )
-    def laplacians(self, profile, seed, k, mvag_size, lap_size):
-        self.cache.next_size = mvag_size
-        self.lap_size = lap_size
-        value, got_k = self.cache.laplacians(profile, seed, k, None, ())
-        assert got_k == k
-        entry = ("laplacians", (profile, seed, k, ()))
-        if entry in self.model:
-            self.model.move_to_end(entry)
+    def laplacians(self, profile, seed, knn_k, size, fail):
+        config = SGLAConfig(knn_k=knn_k)
+        self.size, self.fail = size, fail
+        key = _dataset_key(profile, seed, config)
+        if key in self.model:
+            value, k = self.cache.laplacians(profile, seed, config)
+            self.model.move_to_end(key)
             self.hits += 1
-        else:
+        elif fail:
             self.misses += 1
-            # The build resolves its MVAG uncounted, then inserts.
-            self._touch_or_insert(("mvag", (profile, seed)), mvag_size)
-            self._insert(entry, lap_size)
-        assert value.nbytes == self.model[entry]
-
-    def _live(self):
-        for layer, store in (
-            ("mvag", self.cache._mvags),
-            ("laplacians", self.cache._laplacians),
-        ):
-            for key, (value, nbytes, stamp) in store.items():
-                yield (layer, key), value, nbytes, stamp
+            try:
+                self.cache.laplacians(profile, seed, config)
+            except RuntimeError:
+                return
+            raise AssertionError("a failed build returned a value")
+        else:
+            value, k = self.cache.laplacians(profile, seed, config)
+            self.misses += 1
+            self.model[key] = size
+            while sum(self.model.values()) > MAX_BYTES and len(self.model) > 1:
+                self.model.popitem(last=False)
+        assert k == 3 and value.nbytes == self.model[key]
 
     @invariant()
     def bytes_match_live_entries(self):
-        live = list(self._live())
-        assert self.cache.current_bytes == sum(n for _, _, n, _ in live)
+        live = self.cache._entries
+        assert self.cache.current_bytes == sum(n for _, n in live.values())
         assert self.cache.current_bytes == sum(
-            payload_nbytes(value) for _, value, _, _ in live
+            payload_nbytes(value) for value, _ in live.values()
         )
 
     @invariant()
-    def within_caps(self):
-        assert len(self.cache._mvags) <= CAPACITY
-        assert len(self.cache._laplacians) <= CAPACITY
-        live = [entry for entry, _, _, _ in self._live()]
+    def within_budget(self):
         # The one documented excess: the newest entry alone over budget.
-        assert self.cache.current_bytes <= MAX_BYTES or live == [
-            self.newest
-        ]
+        assert (
+            self.cache.current_bytes <= MAX_BYTES
+            or len(self.cache._entries) == 1
+        )
+        assert not self.cache._building
 
     @invariant()
     def matches_lru_model(self):
-        by_stamp = sorted(self._live(), key=lambda row: row[3])
-        assert [entry for entry, _, _, _ in by_stamp] == list(self.model)
+        assert list(self.cache._entries) == list(self.model)
         assert (self.cache.hits, self.cache.misses) == (
             self.hits, self.misses
         )
@@ -238,3 +218,88 @@ TestDatasetCacheMachine = DatasetCacheMachine.TestCase
 TestDatasetCacheMachine.settings = settings(
     max_examples=200, stateful_step_count=30, deadline=None
 )
+
+#: one lookup of a schedule: (profile, payload size, whether it fails).
+LOOKUPS = st.tuples(st.sampled_from(["a", "b", "c"]), SIZES, st.booleans())
+THREADS = 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    schedule=st.lists(LOOKUPS, min_size=1, max_size=24),
+    bounded=st.booleans(),
+)
+def test_concurrent_lookups_keep_the_books(schedule, bounded):
+    """Four threads run one drawn schedule of lookups against one cache.
+
+    Builds sleep, so lookups of one key race on its latch; drawn builds
+    fail or exceed the budget.  Afterwards every lookup was counted
+    once, no latch is left, and the byte count is the resident entries'.
+    Unbounded, each key was built successfully once and every caller
+    that got a value got that object.
+    """
+    config = SGLAConfig()
+    plan = threading.local()
+    built = []  # (profile, value) of every successful build
+    built_lock = threading.Lock()
+
+    def prepare(profile, seed, config):
+        time.sleep(0.002)
+        size, fails = plan.lookup
+        if fails:
+            raise RuntimeError("stub build failed")
+        value = (_payload(size), 3)
+        with built_lock:
+            built.append((profile, value))
+        return value
+
+    cache = DatasetCache(max_bytes=MAX_BYTES if bounded else None)
+    got = []  # (profile, value) every successful lookup returned
+    errors = []
+    start = threading.Barrier(THREADS)
+
+    def run(lookups):
+        try:
+            start.wait(timeout=30)
+            for profile, size, fails in lookups:
+                plan.lookup = (size, fails)
+                try:
+                    value = cache.laplacians(profile, 0, config)
+                except RuntimeError:
+                    continue
+                with built_lock:
+                    got.append((profile, value))
+        except BaseException as error:  # reported by the asserts below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often: widen the races
+    try:
+        with stub_builds(prepare):
+            threads = [
+                threading.Thread(target=run, args=(schedule[i::THREADS],))
+                for i in range(THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+
+    assert cache.hits + cache.misses == len(schedule)
+    assert not cache._building
+    live = cache._entries.values()
+    assert cache.current_bytes == sum(n for _, n in live)
+    assert cache.current_bytes == sum(payload_nbytes(v) for v, _ in live)
+    if bounded:
+        return
+    assert cache.evictions == 0
+    builds = {}
+    for profile, value in built:
+        assert profile not in builds, f"{profile} built twice"
+        builds[profile] = value
+    for profile, value in got:
+        assert value is builds[profile]

@@ -21,8 +21,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.integration import INTEGRATION_METHODS
 from repro.core.objective import SpectralObjective
-from repro.core.pipeline import cluster_mvag
+from repro.core.pipeline import cluster_mvag, embed_mvag
 from repro.core.sgla import SGLAConfig, prepare_laplacians
 from repro.datasets.profiles import load_profile_mvag
 from repro.serve import (
@@ -42,6 +43,8 @@ from repro.serve.jobs import (
     cache_summary,
     job_config,
     payload_nbytes,
+    run_cluster,
+    run_embed,
     run_objective_group,
 )
 from repro.serve.protocol import send_frame
@@ -183,6 +186,117 @@ class TestBitIdentity:
             replies[0.25]["result"]["value"]
             != replies[0.75]["result"]["value"]
         )
+
+
+# ---------------------------------------------------------------------- #
+# One prepared-dataset path: replies equal integrating the MVAG itself
+# ---------------------------------------------------------------------- #
+
+def _direct(pipeline, job, **params):
+    """``pipeline`` on the job's freshly generated MVAG, called the way
+    the runners called it when each request integrated the MVAG."""
+    seed = job.get("seed", 0)
+    return pipeline(
+        load_profile_mvag(job["profile"], seed=seed),
+        k=job.get("k"),
+        method=job.get("method", "sgla+"),
+        config=job_config(job),
+        seed=seed,
+        shard=None,
+        **params,
+    )
+
+
+def _assert_same(served: dict, expected: dict) -> None:
+    assert set(served) == set(expected) | {"elapsed_seconds"}
+    for name, value in expected.items():
+        if isinstance(value, np.ndarray):
+            assert served[name].dtype == value.dtype, name
+            np.testing.assert_array_equal(served[name], value)
+        else:
+            assert served[name] == value, name
+
+
+class TestPreparedDatasetReplies:
+    @pytest.mark.parametrize("overrides", [
+        {}, {"knn_k": 7}, {"coarsen_levels": 1},
+    ])
+    @pytest.mark.parametrize("method", INTEGRATION_METHODS)
+    def test_cluster_equals_mvag_pipeline(self, method, overrides):
+        job = {
+            "kind": "cluster", "profile": PROFILE, "method": method,
+            "config": overrides,
+        }
+        direct = _direct(cluster_mvag, job, assign="discretize")
+        _assert_same(run_cluster(job, DatasetCache(), None), {
+            "labels": direct.labels,
+            "weights": direct.integration.weights,
+            "method": direct.integration.method,
+            "objective_value": direct.integration.objective_value,
+        })
+
+    @pytest.mark.parametrize("method", INTEGRATION_METHODS)
+    def test_embed_equals_mvag_pipeline(self, method):
+        job = {
+            "kind": "embed", "profile": PROFILE, "method": method,
+            "k": 3, "dim": 16,
+        }
+        direct = _direct(embed_mvag, job, dim=16, backend="auto")
+        _assert_same(run_embed(job, DatasetCache(), None), {
+            "embedding": direct.embedding,
+            "backend": direct.backend,
+            "weights": direct.integration.weights,
+            "objective_value": direct.integration.objective_value,
+        })
+
+    def test_laplacian_list_needs_k_and_refuses_graph_agg(self):
+        laplacians, _ = DatasetCache().laplacians(PROFILE, 0, SGLAConfig())
+        with pytest.raises(ValidationError, match="k must be given"):
+            cluster_mvag(laplacians)
+        with pytest.raises(ValidationError, match="graph-agg"):
+            cluster_mvag(laplacians, k=2, method="graph-agg")
+
+
+# ---------------------------------------------------------------------- #
+# Malformed job fields: a validation reply, nothing admitted
+# ---------------------------------------------------------------------- #
+
+UNIFORM = np.full(R, 1.0 / R)
+
+MALFORMED_JOBS = [
+    {"kind": "cluster", "profile": PROFILE, "config": ["t_max"]},
+    {"kind": "cluster", "profile": PROFILE, "config": "t_max=3"},
+    {"kind": "embed", "profile": PROFILE, "config": ["t_max"]},
+    {"kind": "objective", "profile": PROFILE, "weights": UNIFORM,
+     "config": "t_max=3"},
+    {"kind": "cluster", "profile": [PROFILE]},
+    {"kind": "objective", "profile": PROFILE, "weights": "abc"},
+    {"kind": "objective", "profile": PROFILE, "weights": UNIFORM,
+     "gamma": "x"},
+    {"kind": "cluster", "profile": PROFILE, "k": "3"},
+    {"kind": "cluster", "profile": PROFILE, "seed": [1]},
+    {"kind": "embed", "profile": PROFILE, "seed": None},
+    {"kind": "objective", "profile": PROFILE, "weights": UNIFORM, "k": "3"},
+]
+
+
+class TestJobFieldValidation:
+    def test_malformed_fields_are_refused_before_admission(self, client):
+        for job in MALFORMED_JOBS:
+            with pytest.raises(ValidationError):
+                client.submit(job)
+        totals = client.health()["stats"]["totals"]
+        assert (totals["admitted"], totals["failed"]) == (0, 0)
+        reply = client.submit({"kind": "cluster", "profile": PROFILE})
+        assert reply["ok"]
+        assert client.health()["stats"]["totals"]["completed"] == 1
+
+    def test_router_passes_validation_back_without_failover(self, daemon):
+        config = RouterConfig(daemons=(daemon.address,), replication=1)
+        with Router(config) as router:
+            with pytest.raises(ValidationError, match="config"):
+                router.submit(MALFORMED_JOBS[0])
+            assert router.stats.snapshot()["failovers"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -388,7 +502,7 @@ class TestJobConfig:
         """An eigen backend the registry does not know is refused while
         the job's config is built, before any dataset is loaded or
         cached."""
-        cache = DatasetCache(capacity=8)
+        cache = DatasetCache()
         for name in ("lobpcg", "batch", "nope"):
             job = {
                 "kind": "objective",
@@ -512,6 +626,16 @@ class TestLifecycle:
         assert result.returncode == 2
         assert "unrecognized arguments: --shard-backend" in result.stderr
 
+    def test_max_datasets_flag_removed(self):
+        # The dataset cache is bounded by --max-dataset-mb alone.
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.serve",
+             "--bind", "127.0.0.1:0", "--max-datasets", "8"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --max-datasets" in result.stderr
+
 
 # ---------------------------------------------------------------------- #
 # CLI: serve-stats renders from the health endpoint
@@ -579,72 +703,70 @@ class TestDatasetCacheBudget:
         assert payload_nbytes(loop) == 0
 
     def test_byte_budget_evicts_lru(self):
-        probe = DatasetCache(capacity=8)
-        probe.mvag(PROFILE, seed=0)
+        config = SGLAConfig()
+        probe = DatasetCache()
+        probe.laplacians(PROFILE, 0, config)
         one_dataset = probe.snapshot()["bytes"]
         assert one_dataset > 0
-        cache = DatasetCache(capacity=8, max_bytes=int(one_dataset * 1.5))
-        cache.mvag(PROFILE, seed=0)
-        cache.mvag(PROFILE, seed=1)  # over budget: seed 0 evicted
+        cache = DatasetCache(max_bytes=int(one_dataset * 1.5))
+        cache.laplacians(PROFILE, 0, config)
+        cache.laplacians(PROFILE, 1, config)  # over budget: seed 0 evicted
         snap = cache.snapshot()
         assert snap["evictions"] == 1
         assert snap["entries"] == 1
         assert snap["bytes"] <= snap["max_bytes"]
-        cache.mvag(PROFILE, seed=1)  # survivor still resident
+        cache.laplacians(PROFILE, 1, config)  # survivor still resident
         assert cache.snapshot()["hits"] == 1
 
     def test_single_over_budget_entry_caches_alone(self):
-        cache = DatasetCache(capacity=8, max_bytes=1)
-        cache.mvag(PROFILE, seed=0)  # never evicts the entry being served
+        config = SGLAConfig()
+        cache = DatasetCache(max_bytes=1)
+        cache.laplacians(PROFILE, 0, config)  # never evicts the entry served
         snap = cache.snapshot()
         assert snap["entries"] == 1
         assert snap["evictions"] == 0
-        cache.mvag(PROFILE, seed=1)  # next insert displaces it
-        snap = cache.snapshot()
-        assert snap["entries"] == 1
-        assert snap["evictions"] == 1
-
-    def test_entry_cap_still_applies(self):
-        cache = DatasetCache(capacity=1)
-        cache.mvag(PROFILE, seed=0)
-        cache.mvag(PROFILE, seed=1)
+        cache.laplacians(PROFILE, 1, config)  # next insert displaces it
         snap = cache.snapshot()
         assert snap["entries"] == 1
         assert snap["evictions"] == 1
 
     def test_hit_restamps_recency(self):
-        probe = DatasetCache(capacity=8)
-        probe.mvag(PROFILE, seed=0)
+        config = SGLAConfig()
+        probe = DatasetCache()
+        probe.laplacians(PROFILE, 0, config)
         one_dataset = probe.snapshot()["bytes"]
-        cache = DatasetCache(capacity=8, max_bytes=int(one_dataset * 2.5))
-        cache.mvag(PROFILE, seed=0)
-        cache.mvag(PROFILE, seed=1)
-        cache.mvag(PROFILE, seed=0)  # refresh: seed 1 is now the LRU
-        cache.mvag(PROFILE, seed=2)  # evicts seed 1, not seed 0
+        cache = DatasetCache(max_bytes=int(one_dataset * 2.5))
+        cache.laplacians(PROFILE, 0, config)
+        cache.laplacians(PROFILE, 1, config)
+        cache.laplacians(PROFILE, 0, config)  # refresh: seed 1 is the LRU
+        cache.laplacians(PROFILE, 2, config)  # evicts seed 1, not seed 0
         assert cache.snapshot()["evictions"] == 1
         hits_before = cache.snapshot()["hits"]
-        cache.mvag(PROFILE, seed=0)
+        cache.laplacians(PROFILE, 0, config)
         assert cache.snapshot()["hits"] == hits_before + 1
 
     def test_laplacian_counters_not_double_counted(self):
-        # Regression: laplacians() resolved its MVAG through the public
-        # counting path, so one cold laplacian request recorded *two*
-        # misses (and a warm one recorded a spurious mvag hit), skewing
-        # the health endpoint's hit rate.  The inner resolution must be
-        # counter-neutral: one lookup outcome per public call.
-        cache = DatasetCache(capacity=8)
-        config = SGLAConfig()
-        cache.laplacians(PROFILE, 0, None, config, ())
+        # One outcome per lookup: an objective job and then a cluster
+        # job on one dataset read the same entry, so they record one
+        # miss and then one hit, whatever else their configs override.
+        cache = DatasetCache()
+        run_objective_group([{
+            "kind": "objective", "profile": PROFILE,
+            "weights": simplex_weights(0), "config": {"t_max": 7},
+        }], cache, None)
         snap = cache.snapshot()
         assert (snap["hits"], snap["misses"]) == (0, 1)
-        cache.laplacians(PROFILE, 0, None, config, ())
+        run_cluster({"kind": "cluster", "profile": PROFILE}, cache, None)
         snap = cache.snapshot()
-        assert (snap["hits"], snap["misses"]) == (1, 1)
-        # A direct mvag request afterwards is a counted hit of its own
-        # (the inner build populated the mvag layer).
-        cache.mvag(PROFILE, seed=0)
+        assert (snap["hits"], snap["misses"], snap["entries"]) == (1, 1, 1)
+
+    def test_knn_settings_key_the_entry(self):
+        cache = DatasetCache()
+        cache.laplacians(PROFILE, 0, SGLAConfig())
+        cache.laplacians(PROFILE, 0, SGLAConfig(knn_k=7))
+        cache.laplacians(PROFILE, 0, SGLAConfig(t_max=7, gamma=0.3))
         snap = cache.snapshot()
-        assert (snap["hits"], snap["misses"]) == (2, 1)
+        assert (snap["hits"], snap["misses"], snap["entries"]) == (1, 2, 2)
 
     def test_health_and_cli_surface_cache_counters(self, daemon):
         with ServeClient(daemon.address) as client:
@@ -677,6 +799,17 @@ class TestDatasetCacheBudget:
 # ---------------------------------------------------------------------- #
 
 class TestDatasetCacheConcurrency:
+    @staticmethod
+    def stub_build(monkeypatch, load):
+        """Route the cache's builds through ``load(profile, seed)``: its
+        return value stands in for the MVAG, prepared as-is with 3
+        classes."""
+        monkeypatch.setattr("repro.serve.jobs.load_profile_mvag", load)
+        monkeypatch.setattr(
+            "repro.serve.jobs.prepare_laplacians",
+            lambda mvag, k, config, shard=None: (mvag, 3),
+        )
+
     def test_cold_build_does_not_block_unrelated_hits(self, monkeypatch):
         # Regression: the cache lock was held across an entire profile
         # build, so a cold load on one key blocked *hits* on already-
@@ -684,23 +817,20 @@ class TestDatasetCacheConcurrency:
         # latches, only same-key requests wait.
         started = threading.Event()
         release = threading.Event()
-        real = load_profile_mvag
 
         def slow_load(profile, seed=0):
             if seed == 99:
                 started.set()
                 assert release.wait(30), "builder was never released"
-                return np.zeros(8)
-            return real(profile, seed=seed)
+            return [np.zeros(8)]
 
-        monkeypatch.setattr(
-            "repro.serve.jobs.load_profile_mvag", slow_load
-        )
-        cache = DatasetCache(capacity=8)
-        cache.mvag(PROFILE, seed=0)  # warm one key
+        self.stub_build(monkeypatch, slow_load)
+        config = SGLAConfig()
+        cache = DatasetCache()
+        cache.laplacians(PROFILE, 0, config)  # warm one key
 
         builder = threading.Thread(
-            target=cache.mvag, args=(PROFILE,), kwargs={"seed": 99}
+            target=cache.laplacians, args=(PROFILE, 99, config)
         )
         builder.start()
         try:
@@ -711,7 +841,7 @@ class TestDatasetCacheConcurrency:
             got = {}
             reader = threading.Thread(
                 target=lambda: got.setdefault(
-                    "value", cache.mvag(PROFILE, seed=0)
+                    "value", cache.laplacians(PROFILE, 0, config)
                 )
             )
             reader.start()
@@ -732,16 +862,15 @@ class TestDatasetCacheConcurrency:
         def counted_load(profile, seed=0):
             calls.append((profile, seed))
             assert gate.wait(30)
-            return np.zeros(8)
+            return [np.zeros(8)]
 
-        monkeypatch.setattr(
-            "repro.serve.jobs.load_profile_mvag", counted_load
-        )
-        cache = DatasetCache(capacity=8)
+        self.stub_build(monkeypatch, counted_load)
+        config = SGLAConfig()
+        cache = DatasetCache()
         values = [None] * 4
 
         def fetch(index):
-            values[index] = cache.mvag("fake", seed=7)
+            values[index] = cache.laplacians("fake", 7, config)
 
         threads = [
             threading.Thread(target=fetch, args=(i,)) for i in range(4)
@@ -754,7 +883,7 @@ class TestDatasetCacheConcurrency:
         for thread in threads:
             thread.join(timeout=30)
         assert calls == [("fake", 7)]  # exactly one build
-        assert all(value is not None for value in values)
+        assert all(value is values[0] for value in values)
         snap = cache.snapshot()
         # One miss (the owner); the three waiters found the value after
         # the latch and count as hits.
@@ -768,16 +897,15 @@ class TestDatasetCacheConcurrency:
             attempts.append(seed)
             if len(attempts) == 1:
                 raise RuntimeError("dataset store hiccup")
-            return np.zeros(8)
+            return [np.zeros(8)]
 
-        monkeypatch.setattr(
-            "repro.serve.jobs.load_profile_mvag", flaky_load
-        )
-        cache = DatasetCache(capacity=8)
+        self.stub_build(monkeypatch, flaky_load)
+        config = SGLAConfig()
+        cache = DatasetCache()
         with pytest.raises(RuntimeError):
-            cache.mvag("fake", seed=1)
+            cache.laplacians("fake", 1, config)
         assert cache.snapshot()["building"] == 0  # latch cleaned up
-        assert cache.mvag("fake", seed=1) is not None  # retry succeeds
+        assert cache.laplacians("fake", 1, config) is not None  # retry
         assert len(attempts) == 2
 
 

@@ -115,7 +115,7 @@ class TestValidation:
         {"tenant_weights": {"a": 0.0}},
         {"default_deadline": 0},
         {"drain_grace": -1.0},
-        {"max_datasets": 0},
+        {"max_dataset_mb": 0},
     ])
     def test_serve_config_rejects_malformed(self, kwargs):
         with pytest.raises(ValidationError):
