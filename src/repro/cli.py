@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.integration import INTEGRATION_METHODS
-from repro.core.pipeline import cluster_mvag, embed_mvag
+from repro.core.pipeline import EMBEDDING_BACKENDS, cluster_mvag, embed_mvag
 from repro.core.sgla import SGLAConfig
 from repro.datasets.io import load_mvag, save_mvag
 from repro.datasets.profiles import (
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=INTEGRATION_METHODS)
     embed.add_argument("--dim", type=int, default=64)
     embed.add_argument("--backend", default="auto",
-                       choices=["auto", "netmf", "sketchne"])
+                       choices=EMBEDDING_BACKENDS)
     embed.add_argument("--knn-k", type=int, default=10)
     embed.add_argument("--seed", type=int, default=0)
     embed.add_argument("--out", default=None,

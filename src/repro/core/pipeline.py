@@ -30,6 +30,10 @@ from repro.neighbors import NeighborStats
 from repro.shard import ShardContext, shard_scope
 from repro.solvers import SolverContext
 from repro.utils.errors import ValidationError
+from repro.utils.validation import check_embedding_dim
+
+#: ``embed_mvag``'s backends; ``"auto"`` picks one by node count.
+EMBEDDING_BACKENDS = ("auto", "netmf", "sketchne")
 
 
 @dataclass
@@ -133,11 +137,11 @@ def embed_mvag(
         The multi-view attributed graph, or its prebuilt view Laplacians
         (then ``k`` is required; see :func:`cluster_mvag`).
     dim:
-        Embedding dimensionality (the paper fixes 64).
+        Embedding dimensionality (the paper fixes 64), below the node count.
     backend:
         ``"netmf"``, ``"sketchne"``, or ``"auto"`` (NetMF when the dense
-        NetMF matrix over the integrated Laplacian's n nodes fits,
-        SketchNE-style otherwise — the paper's policy).
+        NetMF matrix over the n nodes fits, SketchNE-style otherwise —
+        the paper's policy); checked, with ``dim``, before integrating.
     solver:
         Optional shared :class:`repro.solvers.SolverContext` used by both
         the integration and the embedding eigensolve.
@@ -150,6 +154,11 @@ def embed_mvag(
         closed before returning).
     """
     k = _cluster_count(data, k)
+    if backend not in EMBEDDING_BACKENDS:
+        raise ValidationError(f"unknown embedding backend {backend!r}")
+    # An empty Laplacian list has no nodes, so no ``dim`` passes.
+    n = data.n_nodes if is_mvag_like(data) else next((v.shape[0] for v in data), 0)
+    dim = check_embedding_dim(dim, n)
     with shard_scope(config or SGLAConfig(), shard) as scoped:
         integration = integrate(
             data, k=k, method=method, config=config, solver=solver,
@@ -158,12 +167,9 @@ def embed_mvag(
     laplacian = integration.laplacian
 
     if backend == "auto":
-        n = laplacian.shape[0]
         backend = "netmf" if n <= min(_DENSE_NODE_LIMIT, 8000) else "sketchne"
     if backend == "netmf":
         embedding = netmf_from_laplacian(laplacian, dim=dim, seed=seed, solver=solver)
-    elif backend == "sketchne":
-        embedding = sketchne_embedding(laplacian, dim=dim, seed=seed, solver=solver)
     else:
-        raise ValidationError(f"unknown embedding backend {backend!r}")
+        embedding = sketchne_embedding(laplacian, dim=dim, seed=seed, solver=solver)
     return EmbedOutput(embedding=embedding, integration=integration, backend=backend)

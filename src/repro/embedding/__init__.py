@@ -3,7 +3,7 @@
 The paper feeds the integrated MVAG Laplacian to classic embedding methods:
 NetMF [33] on small/medium graphs and SketchNE [34] on million-scale ones.
 Both are implemented from scratch here (see DESIGN.md §5 for the SketchNE
-simplification), together with the randomized SVD they rely on.
+simplification), together with the randomized SVD NetMF relies on.
 """
 
 from repro.embedding.netmf import netmf_embedding, netmf_from_laplacian

@@ -7,13 +7,14 @@ the properties the paper's pipeline depends on — bounded memory, no dense
 entrywise-log sketching with a direct low-rank spectral-propagation factor
 (DESIGN.md §5, substitution 4):
 
-1. compute the bottom ``rank`` eigenpairs of the integrated Laplacian;
+1. compute the bottom ``dim`` eigenpairs of the integrated Laplacian;
 2. window-filter the corresponding normalized-adjacency spectrum
-   ``f(1 - lambda)``;
-3. embed each node as the filtered, scaled eigenbasis row, compressed to
-   ``dim`` dimensions via randomized SVD.
+   ``f(1 - lambda)``, clipped at 0;
+3. embed each node as its eigenbasis row scaled by ``sqrt(n * f)``.
 
-Cost is one sparse eigensolve plus ``O(n * rank)`` memory.
+Without the log, ``sqrt(n * f)`` never rises with ``lambda``, so this
+factor is its own top-``dim`` SVD (DESIGN.md §7).  Cost is one sparse
+eigensolve plus ``O(n * dim)`` memory.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from repro.embedding.netmf import _window_filter
-from repro.embedding.svd import randomized_svd
 from repro.solvers import SolverContext, solve_bottom
 from repro.utils.sparse import ensure_csr
 from repro.utils.validation import check_embedding_dim
@@ -33,8 +33,6 @@ def sketchne_embedding(
     laplacian,
     dim: int = 64,
     window: int = 10,
-    rank: int = 128,
-    eigen_method: str = "auto",
     normalize: bool = True,
     seed=0,
     solver: Optional[SolverContext] = None,
@@ -46,34 +44,22 @@ def sketchne_embedding(
     laplacian:
         The integrated MVAG Laplacian ``L`` (spectrum in [0, 2]).
     dim:
-        Output dimensionality (paper fixes 64).
+        Output dimensionality and eigenpair count (paper fixes 64).
     window:
         Random-walk window ``T`` of the NetMF filter.
-    rank:
-        Number of eigenpairs retained (``rank >= dim``).
     normalize:
         L2-normalize embedding rows (improves downstream linear models).
     solver:
-        Optional shared :class:`repro.solvers.SolverContext` (overrides
-        ``eigen_method``).
+        Optional shared :class:`repro.solvers.SolverContext`.
     """
     laplacian = ensure_csr(laplacian)
     n = laplacian.shape[0]
     dim = check_embedding_dim(dim, n)
-    rank = int(min(max(rank, dim), n - 1))
 
-    values, vectors = solve_bottom(
-        laplacian, rank, solver=solver, method=eigen_method, seed=seed
-    )
+    values, vectors = solve_bottom(laplacian, dim, solver=solver, seed=seed)
     s_eigs = np.clip(1.0 - values, -1.0, 1.0)
     filtered = np.clip(_window_filter(s_eigs, window), 0.0, None)
-    factor = vectors * np.sqrt(filtered * float(n))[None, :]
-
-    if factor.shape[1] > dim:
-        u, s, _ = randomized_svd(factor, rank=dim, seed=seed)
-        embedding = u * s[None, :]
-    else:
-        embedding = factor[:, :dim]
+    embedding = vectors * np.sqrt(filtered * float(n))[None, :]
 
     if normalize:
         norms = np.linalg.norm(embedding, axis=1)

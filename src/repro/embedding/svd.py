@@ -1,6 +1,6 @@
 """Randomized truncated SVD (Halko–Martinsson–Tropp).
 
-Used by NetMF and the SketchNE-style embedding to factorize (implicitly or
+Used by NetMF and several baselines to factorize (implicitly or
 explicitly materialized) similarity matrices.  Works on dense arrays, sparse
 matrices, and anything supporting ``@``.
 """

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.analysis.memory import MemoryTracker
 from repro.core.objective import SpectralObjective
-from repro.core.pipeline import cluster_mvag, embed_mvag
+from repro.core.pipeline import EMBEDDING_BACKENDS, cluster_mvag, embed_mvag
 from repro.core.sgla import SGLAConfig, prepare_laplacians
 from repro.datasets.profiles import load_profile_mvag
 from repro.solvers import SolverContext
@@ -280,8 +280,9 @@ def check_job(job: Dict[str, Any]) -> None:
     an internal error from deep inside the batch key, the result key,
     the dataset cache or the pipeline.  ``seed`` must be an int: a
     ``None`` seed would generate a different dataset on every build.
-    Values are checked where they are used (an unknown profile, method
-    or config override is refused there).
+    An unknown embed ``backend`` is refused here, other values where
+    they are used (an unknown profile, method or config override, or an
+    embed ``dim`` not below the node count).
     """
     kind = job.get("kind")
     profile = _require(job, "profile")
@@ -302,6 +303,12 @@ def check_job(job: Dict[str, Any]) -> None:
     k = job.get("k")
     if k is not None and not _is_int(k):
         raise ValidationError(f"k must be an int, got {k!r}")
+    if kind == "embed":
+        backend, dim = job.get("backend", "auto"), job.get("dim", 64)
+        if not isinstance(backend, str) or backend not in EMBEDDING_BACKENDS:
+            raise ValidationError(f"unknown embedding backend {backend!r}")
+        if not _is_int(dim) or dim < 1:
+            raise ValidationError(f"dim must be a positive int, got {dim!r}")
     if kind != "objective":
         return
     gamma = job.get("gamma", 0.5)

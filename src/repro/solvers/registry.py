@@ -14,7 +14,7 @@ dispatch must use :func:`resolve_method` rather than re-deriving it):
   of ``n``; else ``lanczos``.  The thresholds are the measured crossover
   between the two backends (DESIGN.md §7): Lanczos wins the warm
   ``t = k + 1`` optimizer loop above a few hundred nodes, dense wins
-  once ``t`` is a sizeable share of ``n`` (the rank-128/256 embedding
+  once ``t`` is a sizeable share of ``n`` (NetMF's rank-256 embedding
   solves);
 * ``lanczos`` falls back to ``dense`` when ARPACK's ``t < n - 1``
   requirement is violated.

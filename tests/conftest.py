@@ -6,6 +6,8 @@ suite stays fast; scaling behaviour is exercised by the benchmarks instead.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,6 +15,20 @@ import scipy.sparse as sp
 from repro.core.laplacian import build_view_laplacians
 from repro.datasets.generator import generate_mvag
 from repro.datasets.running_example import running_example_mvag
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--shuffle-seed", type=int, default=None, metavar="N",
+        help="run the collected tests in an order shuffled by seed N, to "
+        "expose tests that depend on what ran before them",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    seed = config.getoption("--shuffle-seed")
+    if seed is not None:
+        random.Random(seed).shuffle(items)
 
 
 @pytest.fixture(scope="session")

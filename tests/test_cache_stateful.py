@@ -6,9 +6,10 @@ hypothesis state machine that drives the public lookups with drawn keys
 and payload sizes — sizes over the budget included — against a plain
 ``OrderedDict`` LRU model.  After every step the machines check the
 byte accounting, the caps, the budget, and that the hit / miss counters
-match the model.  A third test runs drawn schedules of dataset lookups
-from four threads at once, with builds that race on one key, fail, or
-overflow the budget.
+match the model.  Two more tests run drawn schedules from four threads
+at once: dataset lookups, with builds that race on one key, fail, or
+overflow the budget; and result-cache gets and puts, with payloads
+over the budget and an entry cap below the keyspace.
 """
 
 from __future__ import annotations
@@ -303,3 +304,107 @@ def test_concurrent_lookups_keep_the_books(schedule, bounded):
         builds[profile] = value
     for profile, value in got:
         assert value is builds[profile]
+
+
+class _RecordingEntries(OrderedDict):
+    """The cache's entry map, counting the overwrites and evictions that
+    :class:`ResultCache` applies to it (always under the cache lock)."""
+
+    overwrites = evicted = 0
+
+    def pop(self, key, *default):
+        if key in self:
+            self.overwrites += 1
+        return super().pop(key, *default)
+
+    def popitem(self, last=True):
+        self.evicted += 1
+        return super().popitem(last=last)
+
+
+#: one result-cache call: ("get", key, counted) or ("put", key, size).
+RESULT_OPS = st.one_of(
+    st.tuples(st.just("get"), st.sampled_from([b"a", b"b", b"c"]),
+              st.booleans()),
+    st.tuples(st.just("put"), st.sampled_from([b"a", b"b", b"c"]), SIZES),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    schedule=st.lists(RESULT_OPS, min_size=1, max_size=24),
+    bounded=st.booleans(),
+)
+def test_concurrent_get_put_keep_the_books(schedule, bounded):
+    """Four threads run one drawn schedule of gets and puts on one
+    :class:`ResultCache` whose entry cap (2) is below its 3 keys.
+
+    Afterwards every counted get was a hit or a miss, the byte count is
+    the resident entries' and within budget, the cap holds, every put
+    was inserted or skipped as oversize, every insertion is resident,
+    evicted or overwritten, and every hit returned an object that was
+    put under its key.
+    """
+    cache = ResultCache(
+        max_bytes=MAX_BYTES if bounded else None, capacity=CAPACITY - 1
+    )
+    cache._entries = _RecordingEntries()
+    books = threading.Lock()
+    put = {}  # key -> every value put under it
+    got = []  # (key, value) of every hit
+    errors = []
+    start = threading.Barrier(THREADS)
+
+    def run(calls):
+        try:
+            start.wait(timeout=30)
+            for op, key, arg in calls:
+                if op == "put":
+                    value = _payload(arg)
+                    with books:
+                        put.setdefault(key, []).append(value)
+                    cache.put(key, value)
+                    continue
+                value = cache.get(key, count=arg)
+                if value is not None:
+                    with books:
+                        got.append((key, value))
+        except BaseException as error:  # reported by the asserts below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often: widen the races
+    try:
+        threads = [
+            threading.Thread(target=run, args=(schedule[i::THREADS],))
+            for i in range(THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+
+    counted_gets = sum(op == "get" and arg for op, _, arg in schedule)
+    assert cache.hits + cache.misses == counted_gets
+    live = cache._entries
+    assert cache.current_bytes == sum(n for _, n in live.values())
+    assert cache.current_bytes == sum(
+        payload_nbytes(value) for value, _ in live.values()
+    )
+    assert len(live) <= cache.capacity
+    puts = [arg for op, _, arg in schedule if op == "put"]
+    oversize = sum(size > MAX_BYTES for size in puts) if bounded else 0
+    assert cache.skipped_oversize == oversize
+    assert cache.insertions + cache.skipped_oversize == len(puts)
+    assert cache.evictions == live.evicted
+    assert cache.insertions == len(live) + cache.evictions + live.overwrites
+    if bounded:
+        assert cache.current_bytes <= MAX_BYTES
+    for key, value in got:
+        assert any(value is candidate for candidate in put[key])
+    for key, (value, _) in live.items():
+        assert any(value is candidate for candidate in put[key])

@@ -7,6 +7,7 @@ from repro.core.mvag import MVAG
 from repro.core.pipeline import cluster_mvag, embed_mvag
 from repro.evaluation.classification import evaluate_embedding
 from repro.evaluation.clustering_metrics import adjusted_rand_index
+from repro.solvers import SolverContext
 from repro.utils.errors import ValidationError
 
 
@@ -76,8 +77,20 @@ class TestEmbedPipeline:
         assert output.embedding.shape == (easy_mvag.n_nodes, 8)
 
     def test_unknown_backend(self, easy_mvag):
-        with pytest.raises(ValidationError):
-            embed_mvag(easy_mvag, dim=8, backend="word2vec")
+        solver = SolverContext()
+        with pytest.raises(ValidationError, match="word2vec"):
+            embed_mvag(easy_mvag, dim=8, backend="word2vec", solver=solver)
+        assert solver.stats.solves == 0  # refused before the integration
+
+    @pytest.mark.parametrize("dim", [0, 10**6, 8.0])
+    def test_bad_dim_refused_before_integration(
+        self, easy_mvag, easy_laplacians, dim
+    ):
+        for data, k in ((easy_mvag, None), (easy_laplacians, 3), ([], 3)):
+            solver = SolverContext()
+            with pytest.raises(ValidationError, match="dim"):
+                embed_mvag(data, k=k, dim=dim, solver=solver)
+            assert solver.stats.solves == 0
 
     def test_sketchne_quality(self, easy_mvag):
         output = embed_mvag(easy_mvag, dim=16, backend="sketchne")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.laplacian import normalized_laplacian
 from repro.datasets.generator import planted_partition_graph
 from repro.embedding.netmf import (
+    _window_filter,
     deepwalk_matrix_exact,
     netmf_embedding,
     netmf_from_laplacian,
@@ -17,6 +18,7 @@ from repro.embedding.sketchne import sketchne_embedding
 from repro.embedding.spectral_embedding import spectral_node_embedding
 from repro.embedding.svd import exact_truncated_svd, randomized_svd
 from repro.evaluation.classification import evaluate_embedding
+from repro.solvers import SolverContext
 from repro.utils.errors import ValidationError
 
 
@@ -146,6 +148,36 @@ class TestSketchNE:
         embedding = sketchne_embedding(laplacian, dim=8, normalize=False, seed=0)
         norms = np.linalg.norm(embedding, axis=1)
         assert norms.std() > 1e-6  # not all unit norm
+
+    def test_equals_filtered_bottom_eigenbasis(self, monkeypatch):
+        """The factor's weights never rise with lambda, so its top-``dim``
+        SVD is its first ``dim`` columns: the embedding is exactly the
+        row-normalized, filtered bottom ``dim`` eigenbasis, from one
+        ``t = dim`` solve.  ``E E^T`` ignores column signs and rotations
+        inside tied eigenvalues."""
+        n, dim = 400, 16  # t < 7% of n: "auto" runs Lanczos
+        adjacency, _ = sbm(n=n, seed=10)
+        laplacian = normalized_laplacian(adjacency)
+        values, vectors = np.linalg.eigh(laplacian.toarray())
+        s_eigs = np.clip(1.0 - values, -1.0, 1.0)
+        weights = np.clip(_window_filter(s_eigs, 10), 0.0, None)
+        reference = vectors[:, :dim] * np.sqrt(n * weights[:dim])
+        reference /= np.linalg.norm(reference, axis=1, keepdims=True)
+
+        ctx = SolverContext()
+        solved = []
+        eigenpairs = ctx.eigenpairs
+
+        def recording(operand, t, *args, **kwargs):
+            solved.append(t)
+            return eigenpairs(operand, t, *args, **kwargs)
+
+        monkeypatch.setattr(ctx, "eigenpairs", recording)
+        embedding = sketchne_embedding(laplacian, dim=dim, seed=0, solver=ctx)
+        assert solved == [dim] and ctx.stats.solves == 1
+        np.testing.assert_allclose(
+            embedding @ embedding.T, reference @ reference.T, atol=1e-8
+        )
 
 
 class TestSpectralEmbedding:

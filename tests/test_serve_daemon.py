@@ -277,6 +277,10 @@ MALFORMED_JOBS = [
     {"kind": "cluster", "profile": PROFILE, "seed": [1]},
     {"kind": "embed", "profile": PROFILE, "seed": None},
     {"kind": "objective", "profile": PROFILE, "weights": UNIFORM, "k": "3"},
+    {"kind": "embed", "profile": PROFILE, "backend": "bogus"},
+    {"kind": "embed", "profile": PROFILE, "backend": ["netmf"]},
+    {"kind": "embed", "profile": PROFILE, "dim": 0},
+    {"kind": "embed", "profile": PROFILE, "dim": "64"},
 ]
 
 
