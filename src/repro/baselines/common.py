@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 from repro.core.knn import knn_graph
 from repro.core.mvag import MVAG
+from repro.neighbors import normalize_rows
 from repro.nn.autoencoder import renormalized_adjacency
 from repro.utils.errors import ValidationError
 from repro.utils.random import check_random_state
@@ -40,13 +41,6 @@ def random_projection(features, dim: int, seed=0) -> np.ndarray:
     return np.asarray(projected, dtype=np.float64)
 
 
-def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise L2 normalization; zero rows pass through unchanged."""
-    norms = np.linalg.norm(matrix, axis=1)
-    norms[norms == 0] = 1.0
-    return matrix / norms[:, None]
-
-
 def concatenated_attributes(
     mvag: MVAG, target_dim: int = 256, seed=0
 ) -> Optional[np.ndarray]:
@@ -61,7 +55,7 @@ def concatenated_attributes(
     per_view_dim = max(8, target_dim // mvag.n_attribute_views)
     for j, view in enumerate(mvag.attribute_views):
         blocks.append(random_projection(view, per_view_dim, seed=(seed or 0) + j))
-    return l2_normalize_rows(np.hstack(blocks))
+    return normalize_rows(np.hstack(blocks))
 
 
 def structural_features(mvag: MVAG, dim: int = 64, seed=0) -> np.ndarray:
@@ -72,7 +66,7 @@ def structural_features(mvag: MVAG, dim: int = 64, seed=0) -> np.ndarray:
         total = total + adjacency
     rng = check_random_state(seed)
     projector = rng.standard_normal((n, dim)) / np.sqrt(dim)
-    return l2_normalize_rows(np.asarray(total @ projector))
+    return normalize_rows(np.asarray(total @ projector))
 
 
 def feature_matrix(mvag: MVAG, target_dim: int = 256, seed=0) -> np.ndarray:
@@ -129,7 +123,7 @@ def filtered_view_features(
         for adjacency in mvag.graph_views
     ]
     for j, view in enumerate(mvag.attribute_views):
-        projected = l2_normalize_rows(
+        projected = normalize_rows(
             random_projection(view, target_dim, seed=(seed or 0) + 100 + j)
         )
         graph = knn_graph(view, k=knn_k)

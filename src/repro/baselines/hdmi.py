@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import feature_matrix, l2_normalize_rows
+from repro.baselines.common import feature_matrix
 from repro.core.mvag import MVAG
+from repro.neighbors import normalize_rows
 from repro.nn.activations import relu, relu_backward, sigmoid
 from repro.nn.autoencoder import renormalized_adjacency
 from repro.nn.layers import GCNLayer
@@ -144,4 +145,4 @@ def hdmi_embedding(
         fused = np.hstack(
             [fused, np.zeros((mvag.n_nodes, dim - fused.shape[1]))]
         )
-    return l2_normalize_rows(fused)
+    return normalize_rows(fused)

@@ -15,13 +15,11 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.baselines.common import (
-    filtered_view_features,
-    l2_normalize_rows,
-)
+from repro.baselines.common import filtered_view_features
 from repro.cluster.kmeans import kmeans
 from repro.core.mvag import MVAG
 from repro.embedding.svd import randomized_svd
+from repro.neighbors import normalize_rows
 from repro.utils.errors import ValidationError
 
 
@@ -31,7 +29,7 @@ def _view_representations(
     features = filtered_view_features(mvag, order=1, knn_k=knn_k, seed=seed)
     representations = []
     for index, block in enumerate(features):
-        block = l2_normalize_rows(block)
+        block = normalize_rows(block)
         rank = min(dim, block.shape[1], block.shape[0] - 1)
         u, s, _ = randomized_svd(block, rank=rank, seed=(seed or 0) + index)
         rep = u * s[None, :]

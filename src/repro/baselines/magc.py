@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import filtered_view_features, l2_normalize_rows
+from repro.baselines.common import filtered_view_features
 from repro.cluster.spectral import spectral_clustering
 from repro.core.laplacian import normalized_laplacian
+from repro.neighbors import normalize_rows
 from repro.utils.errors import ValidationError
 
 import scipy.sparse as sp
@@ -46,7 +47,7 @@ def magc_cluster(
     )
     similarities = []
     for features in view_features:
-        normalized = l2_normalize_rows(features)
+        normalized = normalize_rows(features)
         similarity = normalized @ normalized.T
         np.clip(similarity, 0.0, None, out=similarity)
         similarities.append(similarity)

@@ -17,9 +17,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.baselines.common import filtered_view_features, l2_normalize_rows
+from repro.baselines.common import filtered_view_features
 from repro.cluster.spectral import spectral_clustering
 from repro.core.laplacian import normalized_laplacian
+from repro.neighbors import normalize_rows
 from repro.utils.errors import ValidationError
 
 # Consensus-graph methods materialize n x n matrices; past this size the
@@ -31,7 +32,7 @@ def _consensus_similarity(view_features) -> np.ndarray:
     n = view_features[0].shape[0]
     consensus = np.zeros((n, n))
     for features in view_features:
-        normalized = l2_normalize_rows(features)
+        normalized = normalize_rows(features)
         consensus += normalized @ normalized.T
     consensus /= len(view_features)
     np.clip(consensus, 0.0, None, out=consensus)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import filtered_view_features, l2_normalize_rows
+from repro.baselines.common import filtered_view_features
 from repro.cluster.kmeans import kmeans
 from repro.core.mvag import MVAG
+from repro.neighbors import normalize_rows
 from repro.utils.errors import ValidationError
 from repro.utils.random import check_random_state
 from repro.utils.sparse import degree_vector
@@ -68,7 +69,7 @@ def mvagc_cluster(
     )
     anchor_graphs = []
     for features in view_features:
-        features = l2_normalize_rows(features)
+        features = normalize_rows(features)
         anchor_block = features[anchors]  # (m, d)
         gram = anchor_block @ anchor_block.T
         gram += ridge * np.eye(gram.shape[0])

@@ -17,9 +17,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.baselines.common import feature_matrix, l2_normalize_rows
+from repro.baselines.common import feature_matrix
 from repro.core.mvag import MVAG
 from repro.embedding.svd import randomized_svd
+from repro.neighbors import normalize_rows
 from repro.utils.errors import ValidationError
 from repro.utils.sparse import degree_vector
 from repro.utils.validation import check_embedding_dim
@@ -58,7 +59,7 @@ def pane_embedding(
     inv_deg[positive] = 1.0 / degrees[positive]
     transition = sp.diags(inv_deg).dot(aggregated).tocsr()
 
-    features = l2_normalize_rows(
+    features = normalize_rows(
         feature_matrix(mvag, target_dim=target_dim, seed=seed)
     )
     affinity = alpha * features.copy()

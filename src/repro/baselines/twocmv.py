@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import filtered_view_features, l2_normalize_rows
+from repro.baselines.common import filtered_view_features
+from repro.neighbors import normalize_rows
 from repro.utils.errors import ValidationError
 from repro.utils.random import check_random_state
 
@@ -43,7 +44,7 @@ def twocmv_cluster(
     )
     similarities = []
     for features in view_features:
-        normalized = l2_normalize_rows(features)
+        normalized = normalize_rows(features)
         similarity = normalized @ normalized.T
         np.clip(similarity, 0.0, None, out=similarity)
         similarities.append(similarity)

@@ -24,17 +24,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.neighbors import normalize_rows
 from repro.utils.errors import ValidationError
 from repro.utils.random import check_random_state
 
 #: initial rotations tried per call; the best Procrustes objective wins.
 STARTS = 5
-
-
-def _row_normalize(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1)
-    norms[norms == 0] = 1.0
-    return matrix / norms[:, None]
 
 
 def _initial_rotation(vectors: np.ndarray, k: int, rng) -> np.ndarray:
@@ -114,7 +109,7 @@ def discretize(
         return np.zeros(n, dtype=np.int64)
 
     rng = check_random_state(seed)
-    vectors = _row_normalize(vectors)
+    vectors = normalize_rows(vectors)
     best = None
     for _ in range(STARTS):
         rotation = _initial_rotation(vectors, k, rng)

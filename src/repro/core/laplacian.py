@@ -25,6 +25,7 @@ import scipy.sparse as sp
 
 from repro.core.knn import knn_graph
 from repro.core.mvag import MVAG
+from repro.neighbors import normalize_rows
 from repro.utils.errors import ShapeError, ValidationError
 from repro.utils.sparse import degree_vector, ensure_csr, sparse_identity
 from repro.utils.validation import check_weights
@@ -67,11 +68,11 @@ _STREAM_CHUNK_ROWS = 65536
 def _streamed_normalized(features: np.memmap, chunk_rows: int = _STREAM_CHUNK_ROWS):
     """Disk-backed row-normalized copy of a memmapped dense view.
 
-    Replicates :func:`repro.neighbors.normalize_rows` bit for bit
-    (float64, zero rows kept at zero) but never holds more than one
-    ``chunk_rows x d`` block in anonymous memory: the normalized matrix
-    lands in a temporary ``.npy`` memmap, which the KNN backends then
-    read through the page cache.  The temp file is removed on exit.
+    :func:`repro.neighbors.normalize_rows` normalizes one
+    ``chunk_rows x d`` block at a time, so no more than one block sits
+    in anonymous memory: the normalized matrix lands in a temporary
+    ``.npy`` memmap, which the KNN backends then read through the page
+    cache.  The temp file is removed on exit.
     """
     handle, temp_path = tempfile.mkstemp(suffix=".npy")
     os.close(handle)
@@ -80,11 +81,8 @@ def _streamed_normalized(features: np.memmap, chunk_rows: int = _STREAM_CHUNK_RO
             temp_path, mode="w+", dtype=np.float64, shape=features.shape
         )
         for start in range(0, features.shape[0], chunk_rows):
-            stop = min(start + chunk_rows, features.shape[0])
-            block = np.asarray(features[start:stop], dtype=np.float64)
-            norms = np.linalg.norm(block, axis=1)
-            norms[norms == 0] = 1.0
-            normalized[start:stop] = block / norms[:, None]
+            stop = start + chunk_rows
+            normalized[start:stop] = normalize_rows(features[start:stop])
         normalized.flush()
         yield normalized
         del normalized

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.mvag import MVAG
+from repro.datasets.io import MemmapMVAG, _write_dataset, open_mvag_memmap
 from repro.utils.errors import ValidationError
 from repro.utils.random import check_random_state
 from repro.utils.validation import check_labels
@@ -235,16 +236,32 @@ def planted_partition_graph(
 # --------------------------------------------------------------------- #
 
 
+#: rows drawn per step when a numerical view fills its buffer.
+CHUNK_ROWS = 65536
+
+
 def _numerical_attributes(
-    labels: np.ndarray, spec: AttributeViewSpec, rng
-) -> np.ndarray:
-    n = labels.shape[0]
+    out: np.ndarray,
+    labels: np.ndarray,
+    spec: AttributeViewSpec,
+    rng,
+    chunk_rows: int,
+) -> None:
+    """Fill ``out`` (``n x spec.dim`` float64) with a Gaussian-mixture view.
+
+    The centers are drawn first, then the row noise ``chunk_rows`` rows at
+    a time straight into ``out``.  numpy's ``Generator`` fills buffers
+    sequentially in C order, so every chunking draws the numbers one
+    ``(n, dim)`` call would, and ``out`` may be a file-backed memmap.
+    """
     k = int(labels.max()) + 1
     centers = rng.standard_normal((k, spec.dim))
     # Separation ~ 2 * signal keeps overlap realistic at signal ~ 0.5.
     scale = 2.0 * spec.signal
-    features = scale * centers[labels] + rng.standard_normal((n, spec.dim))
-    return features
+    for start in range(0, labels.shape[0], chunk_rows):
+        block = out[start : start + chunk_rows]
+        rng.standard_normal(out=block)
+        block += scale * centers[labels[start : start + chunk_rows]]
 
 
 def _binary_attributes(
@@ -299,41 +316,18 @@ def _coerce_attribute_specs(
     return specs
 
 
-def generate_mvag(
-    n_nodes: int,
-    n_clusters: int,
-    graph_view_strengths: Sequence[Union[float, GraphViewSpec]] = (0.8, 0.4),
-    attribute_view_dims: Sequence[Union[int, AttributeViewSpec]] = (32,),
-    attribute_view_signals: Optional[Sequence[float]] = None,
-    avg_degree: float = 10.0,
-    default_attribute_signal: float = 0.5,
-    balance: float = 1.0,
-    seed=None,
-    name: str = "synthetic",
-) -> MVAG:
-    """Generate a labeled synthetic MVAG.
+def _draw_views(
+    n_nodes, n_clusters, graph_view_strengths, attribute_view_dims,
+    attribute_view_signals, avg_degree, default_attribute_signal, balance,
+    seed, dense_buffer, chunk_rows,
+):
+    """Labels, graph views and attribute views, in one fixed RNG order.
 
-    Parameters
-    ----------
-    n_nodes, n_clusters:
-        Size of the node set and number of planted communities.
-    graph_view_strengths:
-        One entry per graph view: a strength float (``avg_degree`` shared)
-        or a full :class:`GraphViewSpec`.
-    attribute_view_dims:
-        One entry per attribute view: a dimensionality int or a full
-        :class:`AttributeViewSpec`.
-    attribute_view_signals:
-        Optional per-attribute-view signals aligned with
-        ``attribute_view_dims`` (ignored for entries that are full specs).
-    avg_degree:
-        Shared expected degree for float-specified graph views.
-    balance:
-        Cluster-size balance (>= 1 near-equal, < 1 skewed).
-    seed:
-        Master determinism seed.
-    name:
-        Dataset name recorded on the MVAG.
+    Both generators draw through here, so a seed names one dataset
+    whichever of them writes it.  ``dense_buffer(j, shape)`` supplies the
+    float64 array that numerical attribute view ``j`` is filled into (in
+    RAM, or an ``open_memmap`` file); binary views come back as CSR.
+    Returns ``(labels, graph_views, attribute_views)``.
     """
     if n_nodes < 2 * n_clusters:
         raise ValidationError(
@@ -373,12 +367,57 @@ def generate_mvag(
             )
         )
     attribute_views = []
-    for spec in attribute_specs:
+    for j, spec in enumerate(attribute_specs):
         if spec.kind == "numerical":
-            attribute_views.append(_numerical_attributes(labels, spec, rng))
+            features = dense_buffer(j, (n_nodes, spec.dim))
+            _numerical_attributes(features, labels, spec, rng, chunk_rows)
         else:
-            attribute_views.append(_binary_attributes(labels, spec, rng))
+            features = _binary_attributes(labels, spec, rng)
+        attribute_views.append(features)
+    return labels, graph_views, attribute_views
 
+
+def generate_mvag(
+    n_nodes: int,
+    n_clusters: int,
+    graph_view_strengths: Sequence[Union[float, GraphViewSpec]] = (0.8, 0.4),
+    attribute_view_dims: Sequence[Union[int, AttributeViewSpec]] = (32,),
+    attribute_view_signals: Optional[Sequence[float]] = None,
+    avg_degree: float = 10.0,
+    default_attribute_signal: float = 0.5,
+    balance: float = 1.0,
+    seed=None,
+    name: str = "synthetic",
+) -> MVAG:
+    """Generate a labeled synthetic MVAG.
+
+    Parameters
+    ----------
+    n_nodes, n_clusters:
+        Size of the node set and number of planted communities.
+    graph_view_strengths:
+        One entry per graph view: a strength float (``avg_degree`` shared)
+        or a full :class:`GraphViewSpec`.
+    attribute_view_dims:
+        One entry per attribute view: a dimensionality int or a full
+        :class:`AttributeViewSpec`.
+    attribute_view_signals:
+        Optional per-attribute-view signals aligned with
+        ``attribute_view_dims`` (ignored for entries that are full specs).
+    avg_degree:
+        Shared expected degree for float-specified graph views.
+    balance:
+        Cluster-size balance (>= 1 near-equal, < 1 skewed).
+    seed:
+        Master determinism seed.
+    name:
+        Dataset name recorded on the MVAG.
+    """
+    labels, graph_views, attribute_views = _draw_views(
+        n_nodes, n_clusters, graph_view_strengths, attribute_view_dims,
+        attribute_view_signals, avg_degree, default_attribute_signal,
+        balance, seed, lambda j, shape: np.empty(shape), CHUNK_ROWS,
+    )
     return MVAG(
         graph_views=graph_views,
         attribute_views=attribute_views,
@@ -399,130 +438,47 @@ def generate_mvag_memmap(
     balance: float = 1.0,
     seed=None,
     name: str = "synthetic",
-    chunk_rows: int = 65536,
-):
+    chunk_rows: int = CHUNK_ROWS,
+) -> MemmapMVAG:
     """Generate a labeled synthetic MVAG straight into a memmap directory.
 
     Same signature and distribution as :func:`generate_mvag` (plus
-    ``path`` and ``chunk_rows``), and — crucially — the *same RNG call
-    sequence*, so for any fixed seed the written dataset is bit-identical
-    to ``save_mvag_memmap(generate_mvag(...), path)``.  The difference is
-    the peak footprint: numerical attribute views (the dense memory hog
-    at million-node scale) are streamed into the on-disk ``.npy`` file
-    ``chunk_rows`` rows at a time instead of being materialized.  numpy's
-    ``Generator`` fills output buffers sequentially in C order, which is
-    what makes the chunked draws concatenate to the one-shot draw.
-
-    Graph views (sparse, ``O(n * avg_degree)`` memory) and binary
-    attribute views (sparse CSR) are built in RAM and written out; only
-    the dense views stream.
+    ``path`` and ``chunk_rows``) and the same draws: both run
+    :func:`_draw_views`, so for any fixed seed the written dataset is
+    bit-identical to ``save_mvag_memmap(generate_mvag(...), path)``.
+    The difference is the peak footprint: each numerical attribute view
+    (the dense memory hog at million-node scale) is filled
+    ``chunk_rows`` rows at a time straight into its on-disk ``.npy``
+    file and never passes through :class:`MVAG`, whose finiteness check
+    would allocate an ``n x d`` temporary.  Graph views and binary
+    attribute views are built in RAM and written by the same code as
+    :func:`~repro.datasets.io.save_mvag_memmap`.
 
     Returns the opened :class:`repro.datasets.io.MemmapMVAG`.
     """
-    # Local import: repro.datasets.io has no dependency back on this
-    # module, but keeping it out of the top level mirrors how rarely the
-    # memmap path is needed.
-    from repro.datasets.io import (
-        _write_array,
-        _write_csr_components,
-        _META_FILENAME,
-        _MEMMAP_FORMAT_VERSION,
-        open_mvag_memmap,
-    )
-    import json
-
-    if n_nodes < 2 * n_clusters:
-        raise ValidationError(
-            f"need n_nodes >= 2 * n_clusters, got {n_nodes} and {n_clusters}"
-        )
     if chunk_rows < 1:
         raise ValidationError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    rng = check_random_state(seed)
-    labels = _balanced_labels(n_nodes, n_clusters, balance, rng)
+    path = Path(path)
 
-    graph_specs = _coerce_graph_specs(graph_view_strengths, avg_degree)
-    attribute_specs = _coerce_attribute_specs(
-        attribute_view_dims, attribute_view_signals, default_attribute_signal
-    )
-    if not graph_specs and not attribute_specs:
-        raise ValidationError("need at least one view specification")
-
-    confounder_labels = rng.permutation(labels)
-
-    graph_views = []
-    for spec in graph_specs:
-        view_labels = confounder_labels if spec.confounding else labels
-        if spec.visible_fraction < 1.0:
-            n_visible = max(1, int(round(spec.visible_fraction * n_clusters)))
-            visible_clusters = rng.choice(
-                n_clusters, size=n_visible, replace=False
-            )
-        else:
-            visible_clusters = None
-        graph_views.append(
-            planted_partition_graph(
-                view_labels,
-                spec.strength,
-                spec.avg_degree,
-                rng,
-                visible_clusters=visible_clusters,
-            )
+    def dense_buffer(j, shape):
+        path.mkdir(parents=True, exist_ok=True)
+        return np.lib.format.open_memmap(
+            path / f"attr_{j}.npy", mode="w+", dtype=np.float64, shape=shape
         )
 
-    # Route graphs and labels through MVAG so the written components carry
-    # the same canonicalization (symmetric CSR, zero diagonal, int64
-    # labels) as the in-RAM constructor.
-    if graph_views:
-        skeleton = MVAG(graph_views=graph_views, labels=labels, name=name)
-        canonical_graphs = skeleton.graph_views
-        canonical_labels = skeleton.labels
-    else:
-        canonical_graphs = []
-        canonical_labels = check_labels(labels, n=n_nodes)
-    del graph_views
-
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    for i, adjacency in enumerate(canonical_graphs):
-        _write_csr_components(path, f"graph_{i}", adjacency)
-
-    attribute_meta = []
-    for j, spec in enumerate(attribute_specs):
-        if spec.kind == "numerical":
-            # Streamed replica of _numerical_attributes: same RNG order
-            # (centers first, then row noise), bounded by one chunk.
-            centers = rng.standard_normal((n_clusters, spec.dim))
-            scale = 2.0 * spec.signal
-            out = np.lib.format.open_memmap(
-                path / f"attr_{j}.npy",
-                mode="w+",
-                dtype=np.float64,
-                shape=(n_nodes, spec.dim),
-            )
-            for start in range(0, n_nodes, chunk_rows):
-                stop = min(start + chunk_rows, n_nodes)
-                noise = rng.standard_normal((stop - start, spec.dim))
-                out[start:stop] = (
-                    scale * centers[canonical_labels[start:stop]] + noise
-                )
-            out.flush()
-            del out
-            attribute_meta.append({"sparse": False, "dim": int(spec.dim)})
-        else:
-            features = _binary_attributes(canonical_labels, spec, rng)
-            _write_csr_components(path, f"attr_{j}", features)
-            attribute_meta.append({"sparse": True, "dim": int(spec.dim)})
-
-    _write_array(path, "labels", canonical_labels)
-    meta = {
-        "format_version": _MEMMAP_FORMAT_VERSION,
-        "name": str(name),
-        "n_nodes": int(n_nodes),
-        "n_graph_views": len(canonical_graphs),
-        "attribute_views": attribute_meta,
-        "has_labels": True,
-    }
-    (path / _META_FILENAME).write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    labels, graph_views, attribute_views = _draw_views(
+        n_nodes, n_clusters, graph_view_strengths, attribute_view_dims,
+        attribute_view_signals, avg_degree, default_attribute_signal,
+        balance, seed, dense_buffer, chunk_rows,
+    )
+    for features in attribute_views:
+        if isinstance(features, np.memmap):
+            features.flush()
+    # planted_partition_graph already returns the simple graphs (CSR,
+    # symmetric, zero diagonal) that MVAG would make of them, so only
+    # the labels need MVAG's int64 form.
+    _write_dataset(
+        path, name, n_nodes, graph_views, attribute_views,
+        check_labels(labels, n=n_nodes),
     )
     return open_mvag_memmap(path)

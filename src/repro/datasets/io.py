@@ -159,33 +159,50 @@ def save_mvag_memmap(mvag, path: PathLike) -> Path:
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    graph_views = list(mvag.graph_views)
     attribute_views = list(mvag.attribute_views)
-    for i, adjacency in enumerate(graph_views):
-        _write_csr_components(path, f"graph_{i}", adjacency)
-    attribute_meta: List[dict] = []
     for j, features in enumerate(attribute_views):
-        if sp.issparse(features):
-            _write_csr_components(path, f"attr_{j}", features.tocsr())
-            attribute_meta.append(
-                {"sparse": True, "dim": int(features.shape[1])}
-            )
-        else:
+        if not sp.issparse(features):
             _write_array(
                 path, f"attr_{j}", np.asarray(features, dtype=np.float64)
             )
-            attribute_meta.append(
-                {"sparse": False, "dim": int(features.shape[1])}
-            )
-    labels = getattr(mvag, "labels", None)
+    return _write_dataset(
+        path, mvag.name, mvag.n_nodes, list(mvag.graph_views),
+        attribute_views, getattr(mvag, "labels", None),
+    )
+
+
+def _write_dataset(
+    path: Path,
+    name: str,
+    n_nodes: int,
+    graph_views: List[sp.csr_matrix],
+    attribute_views: List,
+    labels: Optional[np.ndarray],
+) -> Path:
+    """Write every component but the dense attribute views, then the
+    manifest.
+
+    Dense view ``j`` must already be at ``attr_{j}.npy``
+    (:func:`save_mvag_memmap` saves it; the memmap generator fills it in
+    place); the manifest only reads its width.
+    """
+    path.mkdir(parents=True, exist_ok=True)
+    for i, adjacency in enumerate(graph_views):
+        _write_csr_components(path, f"graph_{i}", adjacency)
+    for j, features in enumerate(attribute_views):
+        if sp.issparse(features):
+            _write_csr_components(path, f"attr_{j}", features.tocsr())
     if labels is not None:
         _write_array(path, "labels", np.asarray(labels))
     meta = {
         "format_version": _MEMMAP_FORMAT_VERSION,
-        "name": str(mvag.name),
-        "n_nodes": int(mvag.n_nodes),
+        "name": str(name),
+        "n_nodes": int(n_nodes),
         "n_graph_views": len(graph_views),
-        "attribute_views": attribute_meta,
+        "attribute_views": [
+            {"sparse": sp.issparse(features), "dim": int(features.shape[1])}
+            for features in attribute_views
+        ],
         "has_labels": labels is not None,
     }
     (path / _META_FILENAME).write_text(

@@ -9,10 +9,12 @@ normalized Laplacian of node pairs whose degree changed), so a batch of
 
 Attribute views cache their **row-normalized feature matrix**, and an
 update renormalizes only its row (``O(d)`` for dense views instead of
-the full ``O(n d)`` pass per refresh).  A dirty attribute view's KNN
-graph is rebuilt from that cache with whatever ``knn_backend`` is
-configured — through the shard context when one is set — so a streamed
-view always equals a cold build of its current rows (DESIGN.md §9).
+the full ``O(n d)`` pass per refresh), through
+:func:`~repro.neighbors.normalize_rows` like every row of a cold build.
+A dirty attribute view's KNN graph is rebuilt from that cache with
+whatever ``knn_backend`` is configured — through the shard context when
+one is set — so a streamed view always equals
+``build_view_laplacians(snapshot())``, bit for bit (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -34,24 +36,21 @@ from repro.utils.validation import check_finite
 
 
 def _replace_csr_row(
-    matrix: sp.csr_matrix, index: int, dense_row: np.ndarray
+    matrix: sp.csr_matrix, index: int, row: sp.csr_matrix
 ) -> sp.csr_matrix:
-    """CSR with row ``index`` replaced by ``dense_row`` (one array splice).
+    """CSR with row ``index`` replaced by the one-row CSR ``row``.
 
     Rebuilds only the three CSR arrays around the row's nonzeros — a
-    memcpy-level operation — instead of converting the whole matrix
+    memcpy-level splice — instead of converting the whole matrix
     through LIL or renormalizing from scratch.
     """
-    nonzero = np.flatnonzero(dense_row)
     start, stop = matrix.indptr[index], matrix.indptr[index + 1]
-    data = np.concatenate(
-        [matrix.data[:start], dense_row[nonzero], matrix.data[stop:]]
-    )
+    data = np.concatenate([matrix.data[:start], row.data, matrix.data[stop:]])
     indices = np.concatenate(
-        [matrix.indices[:start], nonzero, matrix.indices[stop:]]
+        [matrix.indices[:start], row.indices, matrix.indices[stop:]]
     )
     indptr = matrix.indptr.copy()
-    indptr[index + 1 :] += nonzero.size - (stop - start)
+    indptr[index + 1 :] += row.nnz - (stop - start)
     return sp.csr_matrix((data, indices, indptr), shape=matrix.shape)
 
 
@@ -223,40 +222,40 @@ class DynamicMVAG:
                 f"expected {attributes.shape[1]} attribute values, "
                 f"got {values.shape[0]}"
             )
+        # The updated row in the view's own format: one dense row, or a
+        # one-row CSR spliced in instead of full tolil/tocsr round trips.
+        row = values[None, :]
         if sp.issparse(attributes):
-            # One CSR row splice instead of full tolil/tocsr round trips
-            # (same memcpy-level cost as the normalized-cache patch).
+            row = sp.csr_matrix(row)
             self._attributes[view] = _replace_csr_row(
-                attributes.tocsr(), node, values
+                attributes.tocsr(), node, row
             )
         else:
             attributes[node] = values
-        self._refresh_normalized_row(view, node, values)
+        self._refresh_normalized_row(view, node, row)
         self._attr_graph_dirty[view] = True
         graph_offset = len(self._graphs)
         self._laplacians.pop(graph_offset + view, None)
         self._updates_since_snapshot += 1
 
-    def _refresh_normalized_row(
-        self, view: int, node: int, values: np.ndarray
-    ) -> None:
+    def _refresh_normalized_row(self, view: int, node: int, row) -> None:
         """Patch one row of the cached normalized features, if cached.
 
-        ``O(d)`` in place for dense views, one CSR row splice for sparse
-        views, instead of the full ``O(n d)`` normalization on the next
-        KNN rebuild.
+        ``row`` is the updated row as a one-row matrix in the view's
+        format (dense or CSR); :func:`normalize_rows` normalizes it as
+        it normalizes every row of a cold build, so the cache stays
+        equal to one.  ``O(d)`` in place for dense views, one CSR row
+        splice for sparse views, instead of the full ``O(n d)``
+        normalization on the next KNN rebuild.
         """
         cached = self._normalized.get(view)
         if cached is None:
             return
-        norm = float(np.linalg.norm(values))
-        normalized_row = values / (norm if norm > 0 else 1.0)
+        normalized = normalize_rows(row)
         if sp.issparse(cached):
-            self._normalized[view] = _replace_csr_row(
-                cached, node, normalized_row
-            )
+            self._normalized[view] = _replace_csr_row(cached, node, normalized)
         else:
-            cached[node] = normalized_row
+            cached[node] = normalized[0]
 
     # ------------------------------------------------------------------ #
     # Views out

@@ -72,12 +72,7 @@ def _shard_factory(args):
     def factory():
         from repro.shard import ShardContext
 
-        return ShardContext(
-            workers=args.shard_workers,
-            fault_plan=fault_plan,
-            min_items=args.shard_min_items,
-            min_bytes=args.shard_min_bytes,
-        )
+        return ShardContext(workers=args.shard_workers, fault_plan=fault_plan)
 
     return factory
 
@@ -135,10 +130,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--shard-workers", type=int, default=0,
                         help="per-executor ShardContext worker count "
                              "(0 = serve in-process)")
-    parser.add_argument("--shard-min-items", type=int, default=2,
-                        help="shard serial-fallback item threshold")
-    parser.add_argument("--shard-min-bytes", type=int, default=1 << 20,
-                        help="shard serial-fallback byte threshold")
     parser.add_argument("--faults", default=None, metavar="JSON",
                         help="FaultPlan dict armed on executor shard "
                              "contexts (chaos testing)")

@@ -20,6 +20,8 @@ not the blip.  Retries are bounded (``retries`` attempts after the
 first) and never applied to non-retryable failures: a structured error
 reply travels a healthy connection and is raised as its typed
 exception, and a socket timeout means the deadline budget is spent.
+Any other frame error (bad magic) is raised unretried and drops the
+connection, since the unread frame body leaves the stream out of step.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.serve.protocol import (
     CONNECT_TIMEOUT,
     DEFAULT_AUTHKEY,
     FrameCorrupted,
+    FrameError,
     parse_address,
     recv_frame,
     reply_to_error,
@@ -72,9 +75,10 @@ class ServeClient:
     retries:
         Transparent resend attempts after transport loss, applied only
         to idempotent traffic (read-only job kinds and the health /
-        stats / ping / drain ops).  ``0`` disables retrying — the
-        router's pooled connections use that, keeping failure
-        accounting at the router.
+        stats / ping / drain ops).  ``0`` disables retrying.  The
+        router does not go through this class: it dispatches on its
+        own pooled raw sockets (``_Endpoint``) and does its own
+        failure accounting.
     """
 
     def __init__(
@@ -165,7 +169,9 @@ class ServeClient:
                 self.close()
                 last_error = error
                 continue
-            except (socket.timeout, OSError):
+            except (FrameError, socket.timeout, OSError):
+                # A bad frame leaves its body unread in the socket, so
+                # the connection is out of step: drop it, never reuse it.
                 self.close()
                 raise
             if not isinstance(reply, dict):

@@ -32,9 +32,12 @@ overtake batch backlog while cross-tenant isolation is untouched.  An
 ``finish_tag - priority_aging * queue_wait``, so a long-waiting batch
 entry's rank decays until it wins a pick regardless of how many
 higher-priority arrivals keep landing ahead of it — with the default
-weights and ``priority_aging=0.1``, a batch head overtakes a fresh
-interactive request of the same weight-1 tenant after at most
-``(1/0.25 - 1/4) / 0.1 = 37.5s`` of waiting.
+weights and ``priority_aging=0.1``, a batch entry overtakes every
+interactive request of a weight-1 tenant that arrives
+``(1/0.25 - 1/4) / 0.1 = 37.5s`` or more after it, provided its start
+tag is no later than theirs (a batch entry queued behind batch backlog
+starts at that backlog's finish tag and waits correspondingly longer;
+``tests/test_serve_queue_stateful.py`` checks the bound).
 
 Expiry and cancellation are first-class: an entry whose deadline passes
 while queued is finalized with

@@ -75,11 +75,13 @@ class ShardContext:
         the monotonic clock from attempt submit (``None`` waits
         indefinitely); an exhausted deadline surfaces through the
         resilience machine as retries and, ultimately, a clean
-        :class:`~repro.utils.errors.ShardError`.
+        :class:`~repro.utils.errors.ShardError`.  Each dispatch reads
+        the attribute afresh, so a caller may tighten it between
+        dispatches (the serve daemon passes on each request's
+        remaining deadline this way).
     retries:
         Retry attempts *beyond the first* per dispatch (default 2, i.e.
-        three attempts); ``retry_policy`` overrides the whole schedule
-        when supplied.
+        three attempts).
     fault_plan:
         Optional :class:`~repro.shard.faults.FaultPlan` arming
         deterministic fault injection on every dispatch (chaos tests).
@@ -92,7 +94,6 @@ class ShardContext:
         min_bytes: int = MIN_SHARD_BYTES,
         timeout: Optional[float] = None,
         retries: int = 2,
-        retry_policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if workers is not None and workers < 0:
@@ -110,9 +111,7 @@ class ShardContext:
         self.min_items = int(min_items)
         self.min_bytes = int(min_bytes)
         self.timeout = timeout
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=retries + 1, deadline=timeout
-        )
+        self.retry_policy = RetryPolicy(max_attempts=retries + 1)
         self.fault_plan = fault_plan
         self.director = FailureDirector(self.retry_policy, fault_plan)
         self.stats = ShardStats()

@@ -43,16 +43,15 @@ from repro.utils.errors import ShardError, ValidationError
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Per-dispatch retry schedule: attempts, backoff, per-attempt deadline.
+    """Per-dispatch retry schedule: attempts and backoff.
 
     ``max_attempts`` counts attempts per dispatch (1 = no retries).
     Backoff between attempts is ``base_delay * backoff_factor**attempt``
     capped at ``max_delay``, plus deterministic jitter in ``[0, jitter *
     delay]`` drawn from a keyed hash of ``(seed, dispatch, attempt)`` —
     seeded so reruns are bit-reproducible, jittered so a fleet of
-    dispatchers does not retry in lockstep.  ``deadline`` is the
-    per-attempt budget in seconds, measured on the monotonic clock from
-    the moment the attempt is submitted (``None`` waits indefinitely).
+    dispatchers does not retry in lockstep.  The per-attempt deadline
+    is the context's ``timeout``, read at each dispatch.
     """
 
     max_attempts: int = 3
@@ -61,7 +60,6 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     jitter: float = 0.5
     seed: int = 0
-    deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -76,10 +74,6 @@ class RetryPolicy:
             )
         if not 0.0 <= self.jitter <= 1.0:
             raise ValidationError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValidationError(
-                f"deadline must be positive, got {self.deadline}"
-            )
 
     def delay(self, attempt: int, key: int = 0) -> float:
         """Backoff before retry number ``attempt`` (0-based), jittered."""
@@ -144,11 +138,6 @@ class FailureDirector:
         pending: Dict[int, Any] = dict(enumerate(items))
         attempts: Dict[int, int] = {index: 0 for index in pending}
         last_failure: Optional[ShardFailure] = None
-        deadline = (
-            self.policy.deadline
-            if self.policy.deadline is not None
-            else context.timeout
-        )
         for attempt in range(self.policy.max_attempts):
             indices = sorted(pending)
             plan = ShardPlan.build(
@@ -171,7 +160,7 @@ class FailureDirector:
                 common,
                 plan,
                 context,
-                deadline=deadline,
+                deadline=context.timeout,
                 attempt=attempt + 1,
             )
             for index, value in got.items():

@@ -136,9 +136,13 @@ class TestIncrementalKnnState:
             row = np.abs(rng.standard_normal(20))
             row[rng.random(20) < 0.5] = 0.0
             dynamic.update_attributes(0, node, row)
+        # The spliced rows are normalized as a cold build normalizes
+        # them, so the streamed view is the cold build, bit for bit.
         static = build_view_laplacians(dynamic.snapshot(), knn_k=4)
         streamed = dynamic.view_laplacians()
-        assert abs(streamed[1] - static[1]).max() < 1e-10
+        assert np.array_equal(streamed[1].indptr, static[1].indptr)
+        assert np.array_equal(streamed[1].indices, static[1].indices)
+        assert np.array_equal(streamed[1].data, static[1].data)
 
     def test_update_before_first_build_matches(self, small_dynamic):
         # No cache primed yet: the first build must normalize fresh.
@@ -150,9 +154,11 @@ class TestIncrementalKnnState:
             assert abs(a - b).max() < 1e-10
 
     def test_streamed_rp_forest_matches_cold_rebuild(self):
-        # A dirty rp-forest view is rebuilt from the normalized cache,
-        # so after any update history it equals a cold build of the
-        # same rows, bit for bit.
+        # A dirty view is rebuilt from the normalized cache, whose updated
+        # rows are normalized as a cold build normalizes every row, so
+        # after any update history the streamed view equals both a build
+        # from the cache and a cold build of the snapshot, bit for bit,
+        # under rp-forest and the exact backend alike.
         from repro.core.knn import knn_graph
         from repro.core.laplacian import normalized_laplacian
 
@@ -160,31 +166,41 @@ class TestIncrementalKnnState:
             n_nodes=700,
             n_clusters=3,
             graph_view_strengths=[0.8],
-            attribute_view_dims=[16],
+            attribute_view_dims=[32],
             seed=8,
         )
-        params = {"n_trees": 4, "leaf_size": 64}
-        dynamic = DynamicMVAG(
-            mvag, knn_k=5, knn_backend="rp-forest", knn_params=params
-        )
-        attr_view = dynamic.n_graph_views
-        dynamic.view_laplacian(attr_view)
-        rng = np.random.default_rng(2)
-        for node in (9, 120, 333, 501, 699):
-            dynamic.update_attributes(0, node, rng.standard_normal(16))
-        streamed = dynamic.view_laplacian(attr_view)
-        cold = normalized_laplacian(
-            knn_graph(
-                dynamic._normalized[0],
-                k=5,
-                backend="rp-forest",
-                backend_params=params,
-                assume_normalized=True,
+        attr_view = mvag.n_graph_views
+        for backend, params in (
+            ("rp-forest", {"n_trees": 4, "leaf_size": 64}),
+            ("exact", None),
+        ):
+            dynamic = DynamicMVAG(
+                mvag, knn_k=5, knn_backend=backend, knn_params=params
             )
-        )
-        assert np.array_equal(streamed.indptr, cold.indptr)
-        assert np.array_equal(streamed.indices, cold.indices)
-        assert np.array_equal(streamed.data, cold.data)
+            dynamic.view_laplacian(attr_view)
+            rng = np.random.default_rng(2)
+            for node in (9, 120, 333, 501, 699):
+                dynamic.update_attributes(0, node, rng.standard_normal(32))
+            streamed = dynamic.view_laplacian(attr_view)
+            from_cache = normalized_laplacian(
+                knn_graph(
+                    dynamic._normalized[0],
+                    k=5,
+                    backend=backend,
+                    backend_params=params,
+                    assume_normalized=True,
+                )
+            )
+            cold = build_view_laplacians(
+                dynamic.snapshot(),
+                knn_k=5,
+                knn_backend=backend,
+                knn_params=params,
+            )[attr_view]
+            for reference in (from_cache, cold):
+                assert np.array_equal(streamed.indptr, reference.indptr)
+                assert np.array_equal(streamed.indices, reference.indices)
+                assert np.array_equal(streamed.data, reference.data)
 
     def test_sharded_rp_forest_refresh(self):
         # Dirty rp-forest views go through the shard context like any

@@ -31,6 +31,11 @@ def _square(item, common):
     return item * item
 
 
+def _sleep(item, common):
+    time.sleep(common["seconds"])
+    return item
+
+
 def _boom(item, common):
     raise ValueError("task bug, not infrastructure")
 
@@ -79,8 +84,6 @@ class TestRetryPolicy:
             RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ValidationError, match="jitter"):
             RetryPolicy(jitter=2.0)
-        with pytest.raises(ValidationError, match="deadline"):
-            RetryPolicy(deadline=0.0)
 
     def test_backoff_grows_and_caps(self):
         policy = RetryPolicy(
@@ -146,6 +149,16 @@ class TestRetryThroughBackends:
         # A fresh context dispatches fault-free.
         with _forced(timeout=30.0) as ctx2:
             assert ctx2.run(_square, [2, 3]) == [4, 9]
+
+    def test_timeout_set_after_construction_bounds_the_attempt(self):
+        # Each dispatch reads the context's timeout, so tightening it
+        # after construction (the serve daemon passes on a request's
+        # remaining deadline this way) bounds the next attempt: the
+        # 5 s tasks are cut at 0.5 s instead of running to completion.
+        with _forced(timeout=30.0, retries=0) as ctx:
+            ctx.timeout = 0.5
+            with pytest.raises(ShardError, match="1 attempt"):
+                ctx.run(_sleep, [0, 1], common={"seconds": 5.0})
 
     def test_context_validation(self):
         with pytest.raises(ValidationError, match="retries"):

@@ -19,7 +19,7 @@ import pytest
 
 from repro.serve import ServeClient, ServeConfig, ServeDaemon
 from repro.serve.client import IDEMPOTENT_KINDS, RETRYABLE_ERRORS
-from repro.serve.protocol import FrameCorrupted
+from repro.serve.protocol import FrameCorrupted, FrameError, send_frame
 from repro.utils.errors import ServeError
 
 PROFILE = "rm_small"
@@ -132,6 +132,55 @@ class FlakyProxy:
         self.close()
 
 
+class BadMagicServer:
+    """Fake daemon whose first connection answers every request with a
+    frame under the wrong magic, then keeps the connection open; later
+    connections answer ``{"ok": True}``.  A client that reads the bad
+    header but keeps its socket reads the unread body next."""
+
+    BAD_FRAME = b"xxxx" + (64).to_bytes(8, "big") + bytes(16) + b"x" * 64
+
+    def __init__(self):
+        self.connections = 0
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(8)
+        self.address = "127.0.0.1:%d" % self._listener.getsockname()[1]
+        threading.Thread(target=self._accept_loop, daemon=True).start()
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                client, _ = self._listener.accept()
+            except OSError:
+                return
+            self.connections += 1
+            threading.Thread(
+                target=self._handle,
+                args=(client, self.connections == 1),
+                daemon=True,
+            ).start()
+
+    def _handle(self, client: socket.socket, bad: bool) -> None:
+        try:
+            while True:
+                _read_frame_bytes(client)
+                if bad:
+                    client.sendall(self.BAD_FRAME)
+                else:
+                    send_frame(client, {"ok": True})
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            client.close()
+
+    def __enter__(self) -> "BadMagicServer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._listener.close()
+
+
 @pytest.fixture(scope="module")
 def daemon():
     with ServeDaemon(ServeConfig(bind="127.0.0.1:0", workers=2)) as d:
@@ -208,6 +257,18 @@ class TestRetryBoundaries:
                 with pytest.raises(ConnectionError):
                     client.submit(make_job())
                 assert client.retried == 0
+
+    def test_bad_frame_drops_the_connection(self):
+        # A bad frame is raised, never retried, and its connection is
+        # dropped: the next request reconnects instead of reading the
+        # bad frame's body as its reply.
+        with BadMagicServer() as server:
+            with ServeClient(server.address, timeout=10.0) as client:
+                with pytest.raises(FrameError, match="magic"):
+                    client.request({"op": "ping"}, retryable=True)
+                assert client.retried == 0
+                assert client.request({"op": "ping"}) == {"ok": True}
+                assert server.connections == 2
 
     def test_negative_retries_rejected(self, daemon):
         with pytest.raises(ServeError):

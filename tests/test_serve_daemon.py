@@ -630,6 +630,19 @@ class TestLifecycle:
         assert result.returncode == 2
         assert "unrecognized arguments: --shard-backend" in result.stderr
 
+    @pytest.mark.parametrize(
+        "flag", ["--shard-min-items", "--shard-min-bytes"]
+    )
+    def test_shard_threshold_flags_removed(self, flag):
+        # The serial-fallback thresholds are ShardContext parameters.
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.serve",
+             "--bind", "127.0.0.1:0", flag, "0"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert f"unrecognized arguments: {flag}" in result.stderr
+
     def test_max_datasets_flag_removed(self):
         # The dataset cache is bounded by --max-dataset-mb alone.
         result = subprocess.run(
